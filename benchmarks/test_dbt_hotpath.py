@@ -1,23 +1,22 @@
-"""DBT hot-path experiment: chaining + trace superblocks + idiom fusion.
+"""DBT hot-path experiment: trace superblocks + idiom fusion.
 
 ``test_dbt_hotpath`` runs a PARSEC-stand-in mix on the same fleet shape
-under three DBT configurations — ``nochain`` (every dispatch is a
-code-cache lookup), ``baseline`` (block chaining, the default), and
-``hotpath`` (chaining plus superblock promotion and idiom fusion) — and
-measures what each tier of the hot path buys: code-cache lookups and
-dispatches per thousand executed instructions, the fig8-style
-execute/translate cycle split, superblocks formed, per-pattern fusion
-hits, and the virtual cycles the cheaper superblock CPI / fused idioms
-avoided.  Architectural identity is asserted alongside the numbers:
-computed stdout must be byte-identical across all three configs
-(mutex_bench prints virtual-time measurements, so only its exit code is
-compared).
+under two DBT configurations — ``baseline`` (the default) and ``hotpath``
+(superblock promotion and idiom fusion) — and measures what the hot path
+buys: block dispatches (one code-cache lookup each) per thousand executed
+instructions, the fig8-style execute/translate cycle split, superblocks
+formed, per-pattern fusion hits, and the virtual cycles the cheaper
+superblock CPI / fused idioms avoided, net of trace-compile cost.
+Architectural identity is asserted alongside the numbers: computed stdout
+must be byte-identical across both configs (mutex_bench prints
+virtual-time measurements, so only its exit code is compared).
 
 The headline column is ``dbt_cpi`` — total DBT cycles (execute +
 translate) per executed guest instruction.  Loop-heavy workloads
 (pi_taylor, x264) amortize trace compilation and come out ahead; the
-short blackscholes run shows the honest flip side, where one-off
-translation dominates and superblocks don't pay.
+short blackscholes and mutex_bench runs show the honest flip side, where
+one-off translation dominates, superblocks don't pay, and the net "saved
+cyc" column goes negative.
 
 Writes the drift-checked table (``benchmarks/results/dbt_hotpath.txt``)
 plus machine-readable ``benchmarks/results/BENCH_dbt.json`` CI consumes.
@@ -38,7 +37,7 @@ from repro.workloads import blackscholes, mutex_bench, pi_taylor, x264
 
 N_SLAVES = 2
 SUPERBLOCK_THRESHOLD = 8
-CONFIG_NAMES = ("nochain", "baseline", "hotpath")
+CONFIG_NAMES = ("baseline", "hotpath")
 
 
 def _workloads():
@@ -53,7 +52,6 @@ def _workloads():
 
 def _configs():
     return {
-        "nochain": DQEMUConfig(chaining_enabled=False),
         "baseline": DQEMUConfig(),
         "hotpath": DQEMUConfig(
             superblock_threshold=SUPERBLOCK_THRESHOLD, fusion_enabled=True
@@ -73,9 +71,7 @@ def _measure(config, program):
         "virt_ms": result.virtual_ns / 1e6,
         "insns": insns,
         "lookups_per_kinsn": d.lookups * 1e3 / insns,
-        "dispatches_per_kinsn": d.dispatches * 1e3 / insns,
         "lookup_hit_rate": d.lookup_hit_rate,
-        "chain_follows": d.chain_follows,
         "translate_share": d.translate_cycles / dbt_cycles if dbt_cycles else 0.0,
         "dbt_cpi": dbt_cycles / insns if insns else 0.0,
         "superblocks_formed": d.superblocks_formed,
@@ -108,11 +104,11 @@ def run_dbt_hotpath():
 
 def render_dbt(rows) -> str:
     lines = [
-        "dbt hot path: lookups (nochain) -> chaining (baseline) -> "
+        "dbt hot path: baseline -> "
         f"superblocks+fusion (hotpath, threshold={SUPERBLOCK_THRESHOLD}; "
-        f"{N_SLAVES} slaves)",
+        f"{N_SLAVES} slaves); saved cyc is net of trace compilation",
         f"{'workload':>12} | {'config':>8} | {'lookups/ki':>10} | "
-        f"{'disp/ki':>8} | {'dbt_cpi':>7} | {'tx share':>8} | "
+        f"{'dbt_cpi':>7} | {'tx share':>8} | "
         f"{'sblocks':>7} | {'fuse hits':>9} | {'saved cyc':>9}",
     ]
     lines.append("-" * len(lines[1]))
@@ -123,7 +119,6 @@ def render_dbt(rows) -> str:
             lines.append(
                 f"{row['workload']:>12} | {cfg_name:>8} | "
                 f"{cell['lookups_per_kinsn']:>10.3f} | "
-                f"{cell['dispatches_per_kinsn']:>8.3f} | "
                 f"{cell['dbt_cpi']:>7.3f} | "
                 f"{cell['translate_share']:>8.4f} | "
                 f"{cell['superblocks_formed']:>7} | "
@@ -151,21 +146,16 @@ def test_dbt_hotpath(benchmark, record_result):
 
     by_name = {row["workload"]: row for row in rows}
     for row in rows:
-        nochain, base, hot = row["nochain"], row["baseline"], row["hotpath"]
+        base, hot = row["baseline"], row["hotpath"]
         # Architectural identity: the hot path changes timing, never results.
         assert row["identical_output"], row["workload"]
         assert all(row[c]["exit_code"] == 0 for c in CONFIG_NAMES)
         # Only the hot path forms superblocks or fuses idioms.
-        for cell in (nochain, base):
-            assert cell["superblocks_formed"] == 0 and not cell["fusion_hits"]
-        # Chaining tier: slow-path lookups per executed instruction drop
-        # measurably once dispatch rides direct block references.
-        assert nochain["chain_follows"] == 0
-        assert base["lookups_per_kinsn"] < 0.7 * nochain["lookups_per_kinsn"]
-        # Superblock tier: one trace dispatch covers many blocks, so total
-        # dispatches per instruction drop again.
-        assert hot["dispatches_per_kinsn"] < base["dispatches_per_kinsn"]
-    # Loop-heavy workloads promote traces, bank real cycle savings, and the
+        assert base["superblocks_formed"] == 0 and not base["fusion_hits"]
+        # One trace dispatch covers many blocks, so dispatches (lookups)
+        # per instruction drop.
+        assert hot["lookups_per_kinsn"] < base["lookups_per_kinsn"]
+    # Loop-heavy workloads promote traces, bank net cycle savings, and the
     # cheaper superblock CPI beats the trace-compilation cost end to end.
     for name in ("pi_taylor", "x264"):
         base, hot = by_name[name]["baseline"], by_name[name]["hotpath"]

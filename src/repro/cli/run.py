@@ -104,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion", action="store_true",
                    help="fuse recurring guest idioms (compare+branch, "
                         "load+op, atomic spin) into single host operations")
-    p.add_argument("--no-chaining", action="store_true",
-                   help="disable block chaining: every dispatch goes through "
-                        "the code-cache lookup")
     p.add_argument("--qemu", action="store_true",
                    help="run the vanilla single-node QEMU baseline instead")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -167,7 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         pure_qemu=args.qemu,
         max_concurrent_jobs=args.max_concurrent_jobs,
         admission_queue_depth=args.admission_queue_depth,
-        chaining_enabled=not args.no_chaining,
         superblock_threshold=args.superblock_threshold,
         superblock_max_blocks=args.superblock_max_blocks,
         cpi_superblock=args.cpi_superblock,

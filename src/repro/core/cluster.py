@@ -461,10 +461,8 @@ class Cluster:
             cs = engine.cache.stats
             dbt.lookups += cs.lookups
             dbt.misses += cs.misses
-            dbt.chain_follows += cs.chain_follows
             dbt.translations += cs.translations
             dbt.invalidations += cs.invalidations
-            dbt.unchains += cs.unchains
             dbt.superblocks_formed += engine.superblocks_formed
             dbt.execute_cycles += engine.execute_cycles
             dbt.translate_cycles += engine.translate_cycles

@@ -55,11 +55,9 @@ class DQEMUConfig:
     translate_per_insn: float = 800.0
     max_block_insns: int = 64
     quantum_cycles: int = 50_000
-    # DBT hot-path tier (docs/PROTOCOL.md "DBT hot path").  Chaining is
-    # timing-neutral dispatch plumbing and stays on; superblocks and idiom
-    # fusion change the cost model, so they default off and every committed
-    # table regenerates bit-identically.
-    chaining_enabled: bool = True
+    # DBT hot-path tier (docs/PROTOCOL.md "DBT hot path").  Superblocks and
+    # idiom fusion change the cost model, so they default off and every
+    # committed table regenerates bit-identically.
     # exec_count at which a hot block is grown into a trace superblock;
     # 0 disables promotion entirely.
     superblock_threshold: int = 0
@@ -250,11 +248,6 @@ class DQEMUConfig:
             raise ConfigError("optimization triggers must be >= 1")
         if self.superblock_threshold < 0:
             raise ConfigError("superblock_threshold must be >= 0 (0 disables)")
-        if self.superblock_threshold and not self.chaining_enabled:
-            raise ConfigError(
-                "superblocks require chaining_enabled: traces grow along "
-                "recorded chain edges"
-            )
         if self.superblock_max_blocks < 2:
             raise ConfigError("superblock_max_blocks must be >= 2")
         if self.cpi_superblock <= 0 or self.cpi_superblock > self.cpi_dbt:

@@ -166,7 +166,6 @@ class NodeTenant:
             ),
             mode=config.mode,
             max_block_insns=config.max_block_insns,
-            chaining=config.chaining_enabled,
             superblock_threshold=config.superblock_threshold,
             superblock_max_blocks=config.superblock_max_blocks,
             fusion=config.fusion_enabled,

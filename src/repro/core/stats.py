@@ -200,31 +200,26 @@ class DbtStats:
     """Hot-path telemetry aggregated across every node's DBT engine
     (docs/PROTOCOL.md "DBT hot path").
 
-    ``lookups``/``misses`` count slow-path code-cache dispatches;
-    ``chain_follows`` dispatches that rode a direct block-to-block
-    reference instead.  Lookups per executed instruction (divide by
-    ``RunStats.insns_executed``) is the dispatch-overhead figure the hot
-    path exists to shrink.  The ``*_saved_cycles`` counters are the
+    ``lookups`` counts block dispatches, each one code-cache probe, and
+    ``misses`` the probes that had to translate.  Lookups per executed
+    instruction (divide by ``RunStats.insns_executed``) is the dispatch
+    figure superblocks shrink.  The ``*_saved_cycles`` counters are the
     virtual cycles the cheaper superblock CPI and fused idioms avoided
-    relative to plain per-block execution.
+    relative to plain per-block execution; the superblock figure is net of
+    each promoted trace's compile cost, so it goes negative when traces do
+    not pay.
     """
 
     lookups: int = 0
     misses: int = 0
-    chain_follows: int = 0
     translations: int = 0
     invalidations: int = 0
-    unchains: int = 0
     superblocks_formed: int = 0
     execute_cycles: float = 0.0
     translate_cycles: float = 0.0
     superblock_saved_cycles: float = 0.0
     fusion_saved_cycles: float = 0.0
     fusion_hits: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def dispatches(self) -> int:
-        return self.lookups + self.chain_follows
 
     @property
     def lookup_hit_rate(self) -> float:

@@ -15,9 +15,9 @@ DQEMU's coherence machinery requires (§4.2).
 Hot-path tier.  Beyond plain per-block compilation the backend supports:
 
 * **successor metadata** — every block records its statically-known
-  successor pcs (``succ_pcs``) so the engine can chain blocks and skip the
-  cache lookup on the fall-through/branch fast path;
-* **trace superblocks** (:meth:`Backend.compile_superblock`) — a hot chain
+  successor pcs (``succ_pcs``) so the engine can profile the edges a trace
+  may grow along;
+* **trace superblocks** (:meth:`Backend.compile_superblock`) — a hot path
   of blocks stitched into one generated function with a single entry and
   interior side exits, so hot loops pay one dispatch per trace instead of
   one per block;
@@ -117,8 +117,11 @@ class TranslationBlock:
     """A compiled block: guest extent, host function, and the source kept for
     diagnostics (``/proc``-style introspection and tests).
 
-    ``eq=False`` keeps object-identity hashing so blocks can sit in the
-    chain-backlink sets the code cache maintains for unchaining.
+    ``eq=False`` keeps identity semantics: each block is a distinct compiled
+    object with mutable counters, and the engine asks whether the cache
+    still holds *this* block (``cache.peek(pc) is tb``).  A generated
+    field-wise ``__eq__`` would compare host functions and counters, and
+    would make blocks unhashable.
     """
 
     pc: int
@@ -142,12 +145,9 @@ class TranslationBlock:
     member_pcs: tuple[int, ...] = ()
     #: Latched when trace formation from this head failed; stops retrying.
     no_promote: bool = False
-    #: Direct successor references (pc → block), filled by the code cache.
-    chain: dict[int, "TranslationBlock"] = field(default_factory=dict)
-    #: Blocks holding a chain reference to this one (for unchaining).
-    chained_from: "set[TranslationBlock]" = field(default_factory=set)
-    #: Dynamic successor execution counts, recorded by the engine and used
-    #: to pick the hottest path when growing a trace.
+    #: Dynamic successor execution counts, recorded by the engine only while
+    #: superblocks are armed, and used to pick the hottest path when growing
+    #: a trace.
     edges: dict[int, int] = field(default_factory=dict)
 
 

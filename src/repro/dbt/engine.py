@@ -9,16 +9,18 @@ is billed ``cpi_dbt`` cycles per guest instruction, interpretation
 ``translate_per_insn`` once per block — constants calibrated in
 :mod:`repro.core.config`.
 
-Hot-path tier (all off by default except chaining, which is
-timing-neutral):
+Every dispatch takes one path: probe the code cache's pc → block map,
+translate on a miss, run the block.  Dispatch itself is unbilled.
 
-* **block chaining** — after a block runs, its successor is dispatched
-  through a direct reference recorded on the block instead of a cache
-  lookup; invalidation severs the references.
-* **trace superblocks** — once a block's ``exec_count`` crosses
-  ``superblock_threshold``, the engine grows a trace along the hottest
-  recorded successor edges and compiles it into one superblock (single
-  dispatch, interior side exits) billed at the cheaper ``cpi_superblock``.
+Hot-path tier (off by default):
+
+* **trace superblocks** — while ``superblock_threshold`` is armed, the
+  dispatch loop records each block's taken static successor edges
+  (``TranslationBlock.edges``); once a block's ``exec_count`` crosses the
+  threshold, the engine grows a trace along the hottest recorded edges and
+  compiles it into one superblock (single dispatch, interior side exits)
+  billed at the cheaper ``cpi_superblock``.  ``superblock_saved_cycles``
+  is net: execution cycles saved minus each promoted trace's compile cost.
 * **idiom fusion** — blocks are compiled with the peephole pass from
   :mod:`repro.dbt.backend`; each fused pair whose second instruction
   completed is billed as one host operation, with per-pattern hit counters.
@@ -67,17 +69,12 @@ class ExecutionEngine:
         mode: str = "dbt",
         max_block_insns: int = 64,
         cache: CodeCache | None = None,
-        chaining: bool = True,
         superblock_threshold: int = 0,
         superblock_max_blocks: int = 8,
         fusion: bool = False,
     ) -> None:
         if mode not in ("dbt", "interp"):
             raise ConfigError(f"unknown engine mode {mode!r}")
-        if superblock_threshold and not chaining:
-            raise ConfigError(
-                "superblocks require block chaining: traces grow along recorded chain edges"
-            )
         self.mem = mem
         self.mode = mode
         self.timing = timing or EngineTiming()
@@ -85,7 +82,6 @@ class ExecutionEngine:
         self.frontend = Frontend(mem, max_block_insns=max_block_insns)
         self.backend = Backend()
         self.interp = Interpreter(mem)
-        self.chaining = chaining
         self.superblock_threshold = superblock_threshold
         self.superblock_max_blocks = superblock_max_blocks
         self.fusion = fusion
@@ -116,32 +112,30 @@ class ExecutionEngine:
         tcycles = 0.0
         mem = self.mem
         cache = self.cache
-        chaining = self.chaining
+        stats = cache.stats
+        probe = cache.peek
         threshold = self.superblock_threshold
         prev: Optional[TranslationBlock] = None
         while cycles < cycle_budget:
             pc = cpu.pc
-            tb = prev.chain.get(pc) if prev is not None else None
-            if tb is not None:
-                cache.stats.chain_follows += 1
-            else:
-                tb = cache.lookup(pc)
-                if tb is None:
-                    try:
-                        block_ir = self.frontend.build_block(pc)
-                        tb = self.backend.compile(block_ir, fusion=self.fusion)
-                    except PageStall as stall:
-                        return self._stop(StopKind.PAGE_STALL, cycles, tcycles, cpu, stall)
-                    except GuestFault as fault:
-                        return self._stop(StopKind.FAULT, cycles, tcycles, cpu, fault)
-                    cache.insert(tb)
-                    self.insns_translated += tb.n_insns
-                    cost = tb.n_insns * t.translate_per_insn
-                    cycles += cost
-                    tcycles += cost
-                if chaining and prev is not None and pc in prev.succ_pcs:
-                    cache.chain(prev, pc, tb)
-            if chaining and prev is not None and pc in prev.succ_pcs:
+            stats.lookups += 1
+            tb = probe(pc)
+            if tb is None:
+                stats.misses += 1
+                try:
+                    block_ir = self.frontend.build_block(pc)
+                    tb = self.backend.compile(block_ir, fusion=self.fusion)
+                except PageStall as stall:
+                    return self._stop(StopKind.PAGE_STALL, cycles, tcycles, cpu, stall)
+                except GuestFault as fault:
+                    return self._stop(StopKind.FAULT, cycles, tcycles, cpu, fault)
+                cache.insert(tb)
+                self.insns_translated += tb.n_insns
+                cost = tb.n_insns * t.translate_per_insn
+                cycles += cost
+                tcycles += cost
+            # The edge profile feeds only trace formation (_try_promote).
+            if threshold and prev is not None and pc in prev.succ_pcs:
                 prev.edges[pc] = prev.edges.get(pc, 0) + 1
             # A stall/fault raised before the block's first checkpoint must
             # bill zero completed instructions, not the previous block's.
@@ -161,7 +155,7 @@ class ExecutionEngine:
                 and not tb.is_superblock
                 and not tb.no_promote
                 and tb.exec_count >= threshold
-                and cache.peek(pc) is tb
+                and probe(pc) is tb
             ):
                 cost = self._try_promote(tb)
                 cycles += cost
@@ -225,7 +219,9 @@ class ExecutionEngine:
         self.cache.promote(sb)
         self.superblocks_formed += 1
         self.insns_translated += sb.n_insns
-        return sb.n_insns * self.timing.translate_per_insn
+        cost = sb.n_insns * self.timing.translate_per_insn
+        self.superblock_saved_cycles -= cost  # the "saved" figure is net
+        return cost
 
     def _stop(
         self,

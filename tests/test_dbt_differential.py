@@ -142,7 +142,7 @@ def test_fused_dbt_matches_interpreter(instrs, regs):
 
 # -- hot-path identity on looping programs -----------------------------------
 #
-# Hypothesis programs are straight-line, so chaining/superblocks barely
+# Hypothesis programs are straight-line, so superblocks barely
 # trigger.  These crafted loops exercise every hot-path feature at once and
 # diff the full architectural state against the interpreter.
 
@@ -224,7 +224,6 @@ class TestHotPathIdentity:
     def test_each_feature_alone_is_identical(self):
         ref, _ = _run_asm(HOT_LOOP, "interp")
         for kwargs in (
-            dict(chaining=False),
             dict(fusion=True),
             dict(superblock_threshold=4),
             dict(superblock_threshold=2, superblock_max_blocks=3),

@@ -95,13 +95,12 @@ class TestCodeCache:
         engine.run_quantum(cpu, 100_000_000)
         stats = engine.cache.stats
         assert stats.translations <= 4
-        # Every loop iteration dispatches the body; chaining turns almost
-        # all of those dispatches into direct chain follows.
-        assert stats.dispatches > 100
-        assert stats.chain_follows > 90
         assert stats.misses == stats.translations
 
     def test_chaining_disabled_pays_a_lookup_per_block(self):
+        # The engine does not chain blocks, so every loop iteration
+        # dispatches the body through one cache probe, and all but the
+        # first few find it already translated.
         prog, mem, cpu = load(
             """
             _start:
@@ -113,12 +112,11 @@ class TestCodeCache:
               ecall
             """
         )
-        engine = ExecutionEngine(mem, chaining=False)
+        engine = ExecutionEngine(mem)
         engine.run_quantum(cpu, 100_000_000)
         stats = engine.cache.stats
-        assert stats.chain_follows == 0
         assert stats.lookups > 100
-        assert stats.hit_rate > 0.9
+        assert 1 - stats.misses / stats.lookups > 0.9
 
     def test_invalidate_page_drops_blocks(self):
         prog, mem, cpu = load("_start:\n li a0, 1\n ecall\n")
@@ -303,7 +301,7 @@ class TestGeneratedCode:
         prog, mem, cpu = load("_start:\n li a0, 7\n ecall\n")
         engine = ExecutionEngine(mem)
         engine.run_quantum(cpu, 1_000_000)
-        tb = engine.cache.lookup(prog.entry)
+        tb = engine.cache.peek(prog.entry)
         assert tb is not None
         assert "def tb_" in tb.source
         assert "R = cpu.regs" in tb.source

@@ -1,4 +1,4 @@
-"""DBT hot-path tier: chaining, trace superblocks, idiom fusion, and the
+"""DBT hot-path tier: trace superblocks, idiom fusion, and the
 cycle-accounting/invalidation bugfixes that ride along.
 
 Complements test_dbt_engine.py (baseline engine behaviour) and
@@ -234,10 +234,10 @@ class TestExactCycleAccounting:
         assert total + cpu.cycle_frac == pytest.approx(model, abs=1e-6)
 
 
-# -- chaining and unchaining ------------------------------------------------
+# -- invalidation of rewritten code -----------------------------------------
 
 
-class TestUnchaining:
+class TestCodeRewrite:
     def _two_page_program(self, mem, value):
         """Block A (jal) on one page jumps to block B (li a0; ecall) on the
         next page, so invalidating B's page leaves A cached."""
@@ -249,20 +249,17 @@ class TestUnchaining:
         ])
         return b_pc
 
-    def test_invalidation_severs_chains_to_dropped_blocks(self):
+    def test_rewritten_page_runs_new_code(self):
         mem = FlatMemory()
         b_pc = self._two_page_program(mem, 1)
         engine = ExecutionEngine(mem)
         run_to_syscall(engine, CPUState(pc=TEXT, tid=1))
-        a_tb = engine.cache.peek(TEXT)
-        assert a_tb.chain  # A chained directly to B
 
-        engine.cache.invalidate_page(b_pc // PAGE_SIZE)
-        assert not a_tb.chain
-        assert engine.cache.stats.unchains >= 1
+        assert engine.cache.invalidate_page(b_pc // PAGE_SIZE) == 1
+        assert engine.cache.peek(TEXT) is not None  # A survives on its page
 
-        # Guest rewrites B: the chained reference must not resurrect the
-        # stale translation.
+        # Guest rewrites B: dispatching from the still-cached A must
+        # translate the new code, not run the stale block.
         emit_words(mem, b_pc, [
             Instruction(SPECS["addi"], rd=10, rs1=0, imm=2),
             Instruction(SPECS["ecall"]),
@@ -271,15 +268,15 @@ class TestUnchaining:
         run_to_syscall(engine, cpu)
         assert cpu.regs[10] == 2
 
-    def test_flush_clears_chain_references(self):
+    def test_flush_empties_the_cache(self):
         mem = FlatMemory()
         self._two_page_program(mem, 1)
         engine = ExecutionEngine(mem)
         run_to_syscall(engine, CPUState(pc=TEXT, tid=1))
-        a_tb = engine.cache.peek(TEXT)
+        assert len(engine.cache) == 2
         engine.cache.flush()
-        assert not a_tb.chain and not a_tb.chained_from
         assert len(engine.cache) == 0
+        assert engine.cache.peek(TEXT) is None
 
 
 # -- superblock promotion and demotion --------------------------------------
@@ -318,6 +315,39 @@ class TestSuperblocks:
         assert off.superblocks_formed == 0
         assert stop_off.cycles == stop_base.cycles
         assert cpu.regs == cpu2.regs
+
+    def test_edges_profiled_only_while_superblocks_are_armed(self):
+        prog, mem, cpu = load(LOOP_SRC)
+        off = ExecutionEngine(mem, superblock_threshold=0)
+        run_to_syscall(off, cpu)
+        assert all(not tb.edges for tb in off.cache._blocks.values())
+
+        prog2, mem2, cpu2 = load(LOOP_SRC)
+        armed = ExecutionEngine(mem2, superblock_threshold=10**9)
+        run_to_syscall(armed, cpu2)
+        loop_tb = max(armed.cache._blocks.values(), key=lambda tb: tb.exec_count)
+        assert sum(loop_tb.edges.values()) == loop_tb.exec_count
+
+    @pytest.mark.parametrize("budget, sign", [(10_000, -1), (50_000, 1)])
+    def test_saved_cycles_are_net_of_trace_compile_cost(self, budget, sign):
+        # A one-block loop (addi; jal back) unrolls into a 4-member trace.
+        mem = FlatMemory()
+        emit_words(mem, TEXT, [
+            Instruction(SPECS["addi"], rd=5, rs1=5, imm=1),
+            Instruction(SPECS["jal"], rd=0, imm=-4),
+        ])
+        t = EngineTiming(cpi_dbt=3.0, cpi_superblock=1.0, translate_per_insn=800.0)
+        engine = ExecutionEngine(mem, timing=t, superblock_threshold=3,
+                                 superblock_max_blocks=4)
+        stop = engine.run_quantum(CPUState(pc=TEXT, tid=1), budget)
+        assert stop.kind is StopKind.QUANTUM
+        sb = engine.cache.peek(TEXT)
+        assert sb.is_superblock and sb.n_insns == 8
+        gross = sb.exec_count * sb.n_insns * (t.cpi_dbt - t.cpi_superblock)
+        compile_cost = sb.n_insns * t.translate_per_insn
+        assert engine.superblock_saved_cycles == gross - compile_cost
+        # A short run does not amortize the trace; a long one does.
+        assert sign * engine.superblock_saved_cycles > 0
 
     def test_demotion_on_member_page_invalidation_then_repromotion(self):
         prog, mem, cpu = load(LOOP_SRC)
@@ -473,10 +503,12 @@ class TestFusion:
         assert cpu.regs[10] == 222
 
     def test_fusion_inside_superblocks_compounds(self):
+        # Enough iterations that the traces repay their compile cost, which
+        # superblock_saved_cycles (a net figure) subtracts.
         src = """
         _start:
           li t0, 0
-          li t6, 100
+          li t6, 5000
         loop:
           addi t0, t0, 1
           slt t5, t0, t6
