@@ -43,7 +43,7 @@ from repro.dbt.cpu import CPUState
 from repro.errors import ConfigError, SimulationError
 from repro.isa.program import Program
 from repro.kernel.syscalls import SystemState
-from repro.mem.layout import STACK_TOP, page_of
+from repro.mem.layout import STACK_TOP
 from repro.mem.msi import MSIState
 from repro.mem.pagestore import PageStore
 from repro.mem.sharding import TenantDirectoryView
@@ -323,7 +323,7 @@ class Cluster:
         # Authoritative guest memory on the master (the "home" copies).
         home = PageStore()
         for vaddr, data in program.iter_load_segments():
-            self._load_segment(home, vaddr, data)
+            home.write_bytes(vaddr, data, MSIState.SHARED)
 
         state = SystemState(
             brk_start=program.load_end, stdin=job.stdin,
@@ -496,17 +496,6 @@ class Cluster:
         )
 
     # -- helpers ----------------------------------------------------------------
-
-    @staticmethod
-    def _load_segment(home: PageStore, vaddr: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            page = page_of(vaddr + pos)
-            off = (vaddr + pos) & 0xFFF
-            n = min(4096 - off, len(data) - pos)
-            buf = home.ensure(page, MSIState.SHARED)
-            buf[off : off + n] = data[pos : pos + n]
-            pos += n
 
     @staticmethod
     def _finish_local(node: NodeRuntime, done, status: int) -> None:

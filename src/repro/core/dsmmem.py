@@ -7,8 +7,15 @@ not hold (or holds in an insufficient MSI state) raises
 :class:`~repro.mem.api.PageStall`, the software analogue of the
 page-protection faults DQEMU drives its coherence state machine with (§4.2).
 
-:class:`LocalMemory` is the same interface with the DSM layer removed: every
-page is local and writable.  It backs the vanilla single-node QEMU baseline.
+A hit is served straight from the page store's two dicts, which play the
+part of QEMU's softmmu TLB.  That relies on the
+:class:`~repro.mem.pagestore.PageStore` invariants: ``INVALID`` is never
+stored, so a page in ``states`` is readable (and has a buffer), and neither
+dict is ever rebound.
+
+:class:`LocalMemory` is the same memory with the DSM layer removed: a miss
+creates the page Modified instead of faulting.  It backs the vanilla
+single-node QEMU baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.llsc import LLSCTable
 from repro.errors import UnalignedAccess
-from repro.mem.api import M64, PageStall, check_span, sign_extend
+from repro.mem.api import M64, PageStall
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.msi import MSIState
 from repro.mem.pagestore import PageStore
@@ -27,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
 
 __all__ = ["MergeStall", "DSMMemory", "LocalMemory"]
+
+_MODIFIED = MSIState.MODIFIED
 
 
 class MergeStall(PageStall):
@@ -38,179 +47,143 @@ class MergeStall(PageStall):
         self.orig_page = orig_page
 
 
+def _page_crossing(addr: int, size: int) -> UnalignedAccess:
+    return UnalignedAccess(
+        f"access of {size} bytes at {addr:#x} crosses a page boundary", addr=addr
+    )
+
+
 class DSMMemory:
-    """MemoryAPI over a node's page cache, split table and LL/SC table."""
+    """MemoryAPI over a node's page cache, split table and LL/SC table.
+
+    GA64 access rules: any alignment within one page is legal, an access
+    crossing a page boundary raises :class:`UnalignedAccess`, and atomics
+    must be 8-byte aligned.
+    """
 
     def __init__(self, store: PageStore, split: SplitMap, llsc: LLSCTable):
         self.pages = store
         self.split = split
         self.llsc = llsc
+        self._states = store.states
+        self._buffers = store.buffers
+        self._split_pages = split.by_orig
+        self._reservations = llsc.reservations
 
-    # -- translation + protection ----------------------------------------------
+    # -- slow paths -------------------------------------------------------------
 
     def _translate(self, addr: int, size: int) -> int:
-        if len(self.split):
-            try:
-                addr = self.split.translate_span(addr, size)
-            except SplitCrossing as sc:
-                raise MergeStall(sc.page, sc.offset) from None
-        check_span(addr, size)
-        return addr
+        """Shadow-page translation; called only while some page is split."""
+        try:
+            return self.split.translate_span(addr, size)
+        except SplitCrossing as sc:
+            raise MergeStall(sc.page, sc.offset) from None
 
-    def _need_read(self, addr: int, size: int = 8) -> None:
-        page = addr >> 12
-        if not self.pages.has_read(page):
-            raise PageStall(page, False, addr & (PAGE_SIZE - 1), size)
+    def _miss(self, page: int, write: bool, offset: int, size: int) -> None:
+        """The page is absent, or held read-only for a write: fault so the
+        coherence protocol fetches it.  Returns only if the page is now held
+        in a sufficient state."""
+        raise PageStall(page, write, offset, size)
 
-    def _need_write(self, addr: int, size: int = 8) -> None:
+    def _atomic(self, addr: int, write: bool) -> tuple[bytearray, int, int]:
+        """Checks shared by the atomics; returns (buffer, offset, address)."""
+        if addr % 8:
+            raise UnalignedAccess(f"atomic access to unaligned address {addr:#x}", addr=addr)
+        if self._split_pages:
+            addr = self._translate(addr, 8)
         page = addr >> 12
-        if not self.pages.has_write(page):
-            raise PageStall(page, True, addr & (PAGE_SIZE - 1), size)
+        off = addr & (PAGE_SIZE - 1)
+        state = self._states.get(page)
+        if state is None or (write and state is not _MODIFIED):
+            self._miss(page, write, off, 8)
+        return self._buffers[page], off, addr
 
     # -- MemoryAPI ------------------------------------------------------------
 
     def load(self, addr: int, size: int, signed: bool) -> int:
-        taddr = self._translate(addr, size)
-        self._need_read(taddr, size)
-        value = self.pages.read(taddr, size)
-        if signed and size < 8:
-            return sign_extend(value, size)
-        return value
+        if self._split_pages:
+            addr = self._translate(addr, size)
+        off = addr & (PAGE_SIZE - 1)
+        if off + size > PAGE_SIZE:
+            raise _page_crossing(addr, size)
+        page = addr >> 12
+        if page not in self._states:
+            self._miss(page, False, off, size)
+        data = self._buffers[page][off : off + size]
+        if signed:
+            return int.from_bytes(data, "little", signed=True) & M64
+        return int.from_bytes(data, "little")
 
     def store(self, addr: int, size: int, value: int) -> None:
-        taddr = self._translate(addr, size)
-        self._need_write(taddr, size)
-        self.pages.write(taddr, size, value)
-        if not self.llsc.empty:
-            self.llsc.kill_store(taddr, size)
+        if self._split_pages:
+            addr = self._translate(addr, size)
+        off = addr & (PAGE_SIZE - 1)
+        if off + size > PAGE_SIZE:
+            raise _page_crossing(addr, size)
+        page = addr >> 12
+        if self._states.get(page) is not _MODIFIED:
+            self._miss(page, True, off, size)
+        self._buffers[page][off : off + size] = (
+            value & ((1 << (8 * size)) - 1)
+        ).to_bytes(size, "little")
+        if self._reservations:
+            self.llsc.kill_store(addr, size)
 
     def fetch_code(self, addr: int, size: int) -> bytes:
-        taddr = self._translate(addr, size)
-        self._need_read(taddr)
-        return self.pages.read_bytes(taddr, size)
+        if self._split_pages:
+            addr = self._translate(addr, size)
+        off = addr & (PAGE_SIZE - 1)
+        if off + size > PAGE_SIZE:
+            raise _page_crossing(addr, size)
+        page = addr >> 12
+        if page not in self._states:
+            self._miss(page, False, off, 8)
+        return bytes(self._buffers[page][off : off + size])
 
     # -- atomics (two-level scheme, §4.4) --------------------------------------
 
-    @staticmethod
-    def _check_atomic(addr: int) -> None:
-        if addr % 8:
-            raise UnalignedAccess(f"atomic access to unaligned address {addr:#x}", addr=addr)
-
     def load_reserved(self, cpu: "CPUState", addr: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_read(taddr)
+        buf, off, taddr = self._atomic(addr, False)
         self.llsc.reserve(taddr, cpu.tid)
-        return self.pages.read(taddr, 8)
+        return int.from_bytes(buf[off : off + 8], "little")
 
     def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
         # SC stores, so it needs the page Modified — this is what makes one
         # node's spinlock exclusive cluster-wide (Fig. 3).
-        self._need_write(taddr)
+        buf, off, taddr = self._atomic(addr, True)
         if not self.llsc.consume(taddr, cpu.tid):
             return False
-        self.pages.write(taddr, 8, value)
+        buf[off : off + 8] = (value & M64).to_bytes(8, "little")
         return True
 
     def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
+        buf, off, taddr = self._atomic(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
         if old == (expected & M64):
-            self.pages.write(taddr, 8, desired & M64)
+            buf[off : off + 8] = (desired & M64).to_bytes(8, "little")
             self.llsc.kill_store(taddr, 8)
         return old
 
     def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
-        self.pages.write(taddr, 8, (old + operand) & M64)
+        buf, off, taddr = self._atomic(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
+        buf[off : off + 8] = ((old + operand) & M64).to_bytes(8, "little")
         self.llsc.kill_store(taddr, 8)
         return old
 
     def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
-        self.pages.write(taddr, 8, operand & M64)
+        buf, off, taddr = self._atomic(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
+        buf[off : off + 8] = (operand & M64).to_bytes(8, "little")
         self.llsc.kill_store(taddr, 8)
         return old
 
 
-class LocalMemory:
+class LocalMemory(DSMMemory):
     """Single-node memory: every page local and writable (QEMU baseline)."""
 
     def __init__(self, store: PageStore, llsc: LLSCTable):
-        self.pages = store
-        self.llsc = llsc
+        super().__init__(store, SplitMap(), llsc)
 
-    def _page(self, addr: int):
-        page = addr >> 12
-        if page not in self.pages:
-            self.pages.ensure(page, MSIState.MODIFIED)
-        return page
-
-    def load(self, addr: int, size: int, signed: bool) -> int:
-        check_span(addr, size)
-        self._page(addr)
-        value = self.pages.read(addr, size)
-        if signed and size < 8:
-            return sign_extend(value, size)
-        return value
-
-    def store(self, addr: int, size: int, value: int) -> None:
-        check_span(addr, size)
-        self._page(addr)
-        self.pages.write(addr, size, value)
-        if not self.llsc.empty:
-            self.llsc.kill_store(addr, size)
-
-    def fetch_code(self, addr: int, size: int) -> bytes:
-        check_span(addr, size)
-        self._page(addr)
-        return self.pages.read_bytes(addr, size)
-
-    def load_reserved(self, cpu: "CPUState", addr: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        self.llsc.reserve(addr, cpu.tid)
-        return self.pages.read(addr, 8)
-
-    def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        if not self.llsc.consume(addr, cpu.tid):
-            return False
-        self.pages.write(addr, 8, value)
-        return True
-
-    def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        if old == (expected & M64):
-            self.pages.write(addr, 8, desired & M64)
-            self.llsc.kill_store(addr, 8)
-        return old
-
-    def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        self.pages.write(addr, 8, (old + operand) & M64)
-        self.llsc.kill_store(addr, 8)
-        return old
-
-    def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        self.pages.write(addr, 8, operand & M64)
-        self.llsc.kill_store(addr, 8)
-        return old
+    def _miss(self, page: int, write: bool, offset: int, size: int) -> None:
+        self.pages.ensure(page, _MODIFIED)

@@ -17,21 +17,18 @@ __all__ = ["LLSCTable"]
 
 class LLSCTable:
     def __init__(self) -> None:
-        self._res: dict[int, set[int]] = {}
+        # Never rebound: DSMMemory holds it to skip store checks while empty.
+        self.reservations: dict[int, set[int]] = {}
         self.spurious_kills = 0  # reservations killed by page invalidation
 
     def __len__(self) -> int:
-        return len(self._res)
-
-    @property
-    def empty(self) -> bool:
-        return not self._res
+        return len(self.reservations)
 
     def reserve(self, addr: int, tid: int) -> None:
-        self._res.setdefault(addr, set()).add(tid)
+        self.reservations.setdefault(addr, set()).add(tid)
 
     def validate(self, addr: int, tid: int) -> bool:
-        holders = self._res.get(addr)
+        holders = self.reservations.get(addr)
         return bool(holders and tid in holders)
 
     def consume(self, addr: int, tid: int) -> bool:
@@ -39,7 +36,7 @@ class LLSCTable:
         the address (its store would kill them anyway)."""
         if not self.validate(addr, tid):
             return False
-        del self._res[addr]
+        del self.reservations[addr]
         return True
 
     def kill_store(self, addr: int, size: int) -> None:
@@ -47,7 +44,7 @@ class LLSCTable:
         lo = addr & ~7
         hi = (addr + size - 1) & ~7
         for a in ((lo,) if lo == hi else (lo, hi)):
-            self._res.pop(a, None)
+            self.reservations.pop(a, None)
 
     def kill_page(self, page: int) -> int:
         """Page invalidated by the coherence protocol: kill its reservations.
@@ -55,11 +52,11 @@ class LLSCTable:
         Returns how many addresses were cleared (the paper's false-positive
         SC failures originate here).
         """
-        doomed = [a for a in self._res if page_of(a) == page]
+        doomed = [a for a in self.reservations if page_of(a) == page]
         for a in doomed:
-            del self._res[a]
+            del self.reservations[a]
         self.spurious_kills += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
-        self._res.clear()
+        self.reservations.clear()

@@ -28,6 +28,7 @@ one run queue (tenant-fair, see
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.config import DQEMUConfig
@@ -842,8 +843,9 @@ class NodeRuntime:
         now = self.sim.now
         tenant = th.tenant
         if sysno == SYS.NANOSLEEP:
-            sec = yield from self._load_guest_local(args[0], 8, tenant)
-            nsec = yield from self._load_guest_local(args[0] + 8, 8, tenant)
+            ts = yield from self.read_guest(args[0], 16, tenant)
+            sec = int.from_bytes(ts[:8], "little")
+            nsec = int.from_bytes(ts[8:], "little")
             yield self.sim.timeout(sec * 1_000_000_000 + nsec)
             cpu.regs[A0] = 0
         elif sysno == SYS.GETTID:
@@ -856,44 +858,52 @@ class NodeRuntime:
             data = (now // 1_000_000_000).to_bytes(8, "little") + (
                 now % 1_000_000_000
             ).to_bytes(8, "little")
-            yield from self._store_guest_local(args[1], data, tenant)
+            yield from self.write_guest(args[1], data, tenant)
             cpu.regs[A0] = 0
         elif sysno == SYS.GETTIMEOFDAY:
             data = (now // 1_000_000_000).to_bytes(8, "little") + (
                 (now % 1_000_000_000) // 1000
             ).to_bytes(8, "little")
-            yield from self._store_guest_local(args[0], data, tenant)
+            yield from self.write_guest(args[0], data, tenant)
             cpu.regs[A0] = 0
         else:  # pragma: no cover - classify() keeps this unreachable
             raise ProtocolError(f"syscall {sysno} not handled locally")
         return
         yield  # pragma: no cover - generator protocol
 
-    def _load_guest_local(self, addr: int, size: int, tenant: int = 0):
-        """Guest-memory read through the tenant's memory (acquiring pages)."""
+    # -- guest memory for kernel code (a KernelMemory for tenant 0) --------------
+
+    def read_guest(self, addr: int, size: int, tenant: int = 0):
+        """Copy guest bytes out in 8-byte loads, acquiring stalled pages."""
         memory = self.tenants[tenant].memory
+        out = bytearray()
+        for k in range(0, size, 8):
+            n = min(8, size - k)
+            value = yield from self._retry_stalls(
+                partial(memory.load, addr + k, n, False), tenant
+            )
+            out += value.to_bytes(n, "little")
+        return bytes(out)
+
+    def write_guest(self, addr: int, data: bytes, tenant: int = 0):
+        """Copy ``data`` in as 8-byte stores, acquiring stalled pages."""
+        memory = self.tenants[tenant].memory
+        for k in range(0, len(data), 8):
+            chunk = data[k : k + 8]
+            yield from self._retry_stalls(
+                partial(memory.store, addr + k, len(chunk), int.from_bytes(chunk, "little")),
+                tenant,
+            )
+
+    def _retry_stalls(self, access, tenant: int):
+        """Run ``access()`` until it stops stalling, acquiring each page."""
         while True:
             try:
-                return memory.load(addr, size, False)
+                return access()
             except PageStall as stall:
                 yield from self.acquire_page(
                     stall.page, stall.write, stall.offset, tenant=tenant
                 )
-
-    def _store_guest_local(self, addr: int, data: bytes, tenant: int = 0):
-        """8-byte-chunk store through the tenant's memory (acquiring pages)."""
-        memory = self.tenants[tenant].memory
-        for k in range(0, len(data), 8):
-            chunk = data[k : k + 8]
-            value = int.from_bytes(chunk, "little")
-            while True:
-                try:
-                    memory.store(addr + k, len(chunk), value)
-                    break
-                except PageStall as stall:
-                    yield from self.acquire_page(
-                        stall.page, stall.write, stall.offset, tenant=tenant
-                    )
 
     # -- communicator ------------------------------------------------------------
 

@@ -227,25 +227,17 @@ class CoherenceService:
 
     # -- home-copy helpers ------------------------------------------------------
 
-    def _home_page(self, page: int) -> bytearray:
-        if page not in self.home:
-            return self.home.ensure(page, MSIState.SHARED)
-        return self.home.raw(page)
-
     def home_bytes(self, addr: int, size: int) -> bytes:
-        self._home_page(page_of(addr))
-        return self.home.read_bytes(addr, size)
+        return self.home.read_bytes(addr, size, MSIState.SHARED)
 
     def home_write(self, addr: int, data: bytes) -> None:
-        self._home_page(page_of(addr))
-        self.home.write_bytes(addr, data)
+        self.home.write_bytes(addr, data, MSIState.SHARED)
 
     def home_install(self, page: int, data: bytes) -> None:
         self.home.install(page, data, MSIState.SHARED)
 
     def home_snapshot(self, page: int) -> bytes:
-        self._home_page(page)
-        return self.home.snapshot(page)
+        return self.home_bytes(page * PAGE_SIZE, PAGE_SIZE)
 
     # -- kernel page ownership (syscall pointer arguments, §4.3) -----------------
 

@@ -1,7 +1,6 @@
-"""Memory substrate: layout, page stores, MSI states, flat memory, DSM directory."""
+"""Memory substrate: layout, page stores, MSI states, DSM directory."""
 
-from repro.mem.api import M64, MemoryAPI, PageStall, check_span, sign_extend
-from repro.mem.flat import FlatMemory
+from repro.mem.api import M64, MemoryAPI, PageStall, sign_extend
 from repro.mem.layout import (
     MMAP_BASE,
     PAGE_SIZE,
@@ -32,7 +31,6 @@ from repro.mem.sharding import (
 __all__ = [
     "AdaptivePolicy",
     "CoherencePolicy",
-    "FlatMemory",
     "M64",
     "MESIPolicy",
     "MMAP_BASE",
@@ -49,7 +47,6 @@ __all__ = [
     "ShardedDirectoryView",
     "ShardedSplitView",
     "TEXT_BASE",
-    "check_span",
     "make_policy",
     "page_base",
     "page_of",

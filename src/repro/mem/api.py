@@ -1,30 +1,22 @@
 """Memory interface between the DBT engine and a memory system.
 
 The execution engine is memory-system agnostic: it runs against anything
-implementing :class:`MemoryAPI`.  Unit tests and the single-node QEMU
-baseline use :class:`~repro.mem.flat.FlatMemory`; DQEMU nodes use the
-DSM-backed memory in :mod:`repro.core.node`, whose accesses can raise
+implementing :class:`MemoryAPI`.  The one implementation is
+:class:`~repro.core.dsmmem.DSMMemory`, whose accesses can raise
 :class:`PageStall` when the coherence protocol must fetch a page — the
 software equivalent of the page-protection faults DQEMU relies on (§4.2).
-
-GA64 access rules enforced here:
-
-* any alignment within one page is legal; an access crossing a page boundary
-  raises :class:`UnalignedAccess` (statically-linked guests keep data aligned);
-* atomics must be 8-byte aligned.
+Its subclass :class:`~repro.core.dsmmem.LocalMemory` never stalls and backs
+the single-node QEMU baseline and the unit tests.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from repro.errors import UnalignedAccess
-from repro.mem.layout import page_of
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
 
-__all__ = ["PageStall", "MemoryAPI", "check_span", "sign_extend", "M64"]
+__all__ = ["PageStall", "MemoryAPI", "sign_extend", "M64"]
 
 M64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -45,16 +37,6 @@ class PageStall(Exception):
         self.write = write
         self.offset = offset
         self.size = size  # access width — the false-sharing detector needs it
-
-
-def check_span(addr: int, size: int, *, pc: int | None = None) -> None:
-    """Reject accesses that cross a page boundary."""
-    if page_of(addr) != page_of(addr + size - 1):
-        raise UnalignedAccess(
-            f"access of {size} bytes at {addr:#x} crosses a page boundary",
-            pc=pc,
-            addr=addr,
-        )
 
 
 def sign_extend(value: int, size: int) -> int:

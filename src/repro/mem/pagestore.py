@@ -1,9 +1,19 @@
 """Per-node page storage.
 
 Each DQEMU instance holds copies of the guest pages it currently caches,
-tagged with their MSI coherence state.  The store is a dict of 4 KiB
-bytearrays — sparse, so a 1 GB guest region costs nothing until touched
-(the paper's Table 1 experiment reserves 1 GB on the master).
+tagged with their MSI coherence state.  The store is two dicts — page →
+state and page → 4 KiB bytearray — sparse, so a 1 GB guest region costs
+nothing until touched (the paper's Table 1 experiment reserves 1 GB on the
+master).
+
+Together the two dicts are the node's softmmu TLB: the guest-memory hot
+path in :mod:`repro.core.dsmmem` probes them directly.  It relies on two
+invariants that every method here keeps:
+
+* ``INVALID`` is never stored — a page in :attr:`states` is readable, and
+  only ``MODIFIED`` is writable;
+* :attr:`states` and :attr:`buffers` are never rebound, so a reference
+  taken once stays current.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import SegmentationFault
-from repro.mem.layout import PAGE_SIZE, page_of, page_offset
+from repro.mem.layout import PAGE_SIZE
 from repro.mem.msi import MSIState
 
 __all__ = ["PageStore"]
@@ -21,33 +31,33 @@ class PageStore:
     """Sparse page container with per-page MSI state."""
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
-        self._states: dict[int, MSIState] = {}
+        self.buffers: dict[int, bytearray] = {}
+        self.states: dict[int, MSIState] = {}
 
     # -- state bookkeeping ----------------------------------------------------
 
     def state(self, page: int) -> MSIState:
-        return self._states.get(page, MSIState.INVALID)
+        return self.states.get(page, MSIState.INVALID)
 
     def set_state(self, page: int, state: MSIState) -> None:
         if state is MSIState.INVALID:
-            self._states.pop(page, None)
+            self.states.pop(page, None)
         else:
-            self._states[page] = state
+            self.states[page] = state
 
     def has_read(self, page: int) -> bool:
-        return self._states.get(page, MSIState.INVALID) is not MSIState.INVALID
+        return page in self.states
 
     def has_write(self, page: int) -> bool:
-        return self._states.get(page) is MSIState.MODIFIED
+        return self.states.get(page) is MSIState.MODIFIED
 
     def silently_upgrade(self, page: int) -> bool:
         """MESI's silent E→M transition: an Exclusive-clean copy becomes
         Modified with no master round trip (docs/PROTOCOL.md "Coherence
         protocols").  Returns whether the upgrade happened — the caller
         counts it as a saved round trip.  Any other state is untouched."""
-        if self._states.get(page) is MSIState.EXCLUSIVE:
-            self._states[page] = MSIState.MODIFIED
+        if self.states.get(page) is MSIState.EXCLUSIVE:
+            self.states[page] = MSIState.MODIFIED
             return True
         return False
 
@@ -56,66 +66,66 @@ class PageStore:
     def install(self, page: int, data: bytes, state: MSIState) -> None:
         if len(data) != PAGE_SIZE:
             raise ValueError(f"page data must be {PAGE_SIZE} bytes, got {len(data)}")
-        self._pages[page] = bytearray(data)
+        self.buffers[page] = bytearray(data)
         self.set_state(page, state)
 
     def ensure(self, page: int, state: MSIState) -> bytearray:
         """Get-or-create a zeroed page in ``state`` (master-side allocation)."""
-        buf = self._pages.get(page)
+        buf = self.buffers.get(page)
         if buf is None:
             buf = bytearray(PAGE_SIZE)
-            self._pages[page] = buf
+            self.buffers[page] = buf
         self.set_state(page, state)
         return buf
 
     def drop(self, page: int) -> Optional[bytes]:
         """Invalidate: remove the local copy, returning it (for write-back)."""
-        self._states.pop(page, None)
-        buf = self._pages.pop(page, None)
+        self.states.pop(page, None)
+        buf = self.buffers.pop(page, None)
         return bytes(buf) if buf is not None else None
 
     def snapshot(self, page: int) -> bytes:
         try:
-            return bytes(self._pages[page])
+            return bytes(self.buffers[page])
         except KeyError:
             raise SegmentationFault(f"no copy of page {page:#x}") from None
 
-    def raw(self, page: int) -> bytearray:
-        """Direct (mutable) access for the access fast path."""
-        try:
-            return self._pages[page]
-        except KeyError:
-            raise SegmentationFault(f"no copy of page {page:#x}") from None
+    # -- bulk copies (loader, kernel buffers); no coherence check --------------
 
-    # -- data access (caller has already checked coherence state) ----------------
+    def _spans(self, addr: int, size: int, state: MSIState):
+        """Yield ``(buffer, offset, length)`` per page of ``[addr, addr+size)``,
+        creating a missing page zeroed in ``state``.  A page already held
+        keeps its state."""
+        end = addr + size
+        while addr < end:
+            page = addr >> 12
+            off = addr & (PAGE_SIZE - 1)
+            n = min(PAGE_SIZE - off, end - addr)
+            buf = self.buffers.get(page)
+            if buf is None:
+                buf = self.ensure(page, state)
+            yield buf, off, n
+            addr += n
 
-    def read(self, addr: int, size: int) -> int:
-        buf = self.raw(page_of(addr))
-        off = page_offset(addr)
-        return int.from_bytes(buf[off : off + size], "little")
+    def read_bytes(self, addr: int, size: int, state: MSIState) -> bytes:
+        """Copy ``size`` bytes out, spanning pages (missing ones made in ``state``)."""
+        spans = self._spans(addr, size, state)
+        return b"".join(buf[off : off + n] for buf, off, n in spans)
 
-    def write(self, addr: int, size: int, value: int) -> None:
-        buf = self.raw(page_of(addr))
-        off = page_offset(addr)
-        buf[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        buf = self.raw(page_of(addr))
-        off = page_offset(addr)
-        return bytes(buf[off : off + size])
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        buf = self.raw(page_of(addr))
-        off = page_offset(addr)
-        buf[off : off + len(data)] = data
+    def write_bytes(self, addr: int, data: bytes, state: MSIState) -> None:
+        """Copy ``data`` in, spanning pages (missing ones made in ``state``)."""
+        pos = 0
+        for buf, off, n in self._spans(addr, len(data), state):
+            buf[off : off + n] = data[pos : pos + n]
+            pos += n
 
     # -- iteration ------------------------------------------------------------
 
     def pages(self) -> Iterator[int]:
-        return iter(self._pages)
+        return iter(self.buffers)
 
     def __contains__(self, page: int) -> bool:
-        return page in self._pages
+        return page in self.buffers
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self.buffers)

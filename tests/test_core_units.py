@@ -45,10 +45,11 @@ class TestLLSCTable:
         assert t.validate(0x2000, 3)
 
     def test_empty_flag_for_store_fast_path(self):
+        # DSMMemory.store skips the LL/SC check while this dict is empty.
         t = LLSCTable()
-        assert t.empty
+        assert not t.reservations
         t.reserve(0x1000, 1)
-        assert not t.empty
+        assert t.reservations
 
 
 class TestThreadPlacer:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dbt import CPUState, ExecutionEngine, StopKind
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.isa.instructions import Fmt
-from repro.mem import FlatMemory
+from tests.conftest import local_memory, read_bytes
 
 TEXT = 0x1_0000
 BUF = 0x10_0000  # data buffer page, preloaded in a fixed register
@@ -89,12 +89,13 @@ def initial_regs(draw):
 
 
 def _run(instrs, regs, mode, **engine_kwargs):
-    mem = FlatMemory()
     words = b"".join(encode(i).to_bytes(4, "little") for i in instrs)
     ecall = encode(Instruction(SPECS["ecall"])).to_bytes(4, "little")
-    mem.write_bytes(TEXT, words + ecall)
-    # deterministic, non-zero data buffer
-    mem.write_bytes(BUF, bytes((i * 37 + 11) % 256 for i in range(4096)))
+    mem = local_memory([
+        (TEXT, words + ecall),
+        # deterministic, non-zero data buffer
+        (BUF, bytes((i * 37 + 11) % 256 for i in range(4096))),
+    ])
     cpu = CPUState(pc=TEXT, tid=1)
     cpu.regs = list(regs)
     cpu.regs[BUF_REG] = BUF
@@ -111,7 +112,7 @@ def test_dbt_matches_interpreter(instrs, regs):
     cpu_d, mem_d = _run(instrs, regs, "dbt")
     assert cpu_i.regs == cpu_d.regs
     assert cpu_i.pc == cpu_d.pc
-    assert mem_i.read_bytes(BUF, 4096) == mem_d.read_bytes(BUF, 4096)
+    assert read_bytes(mem_i, BUF, 4096) == read_bytes(mem_d, BUF, 4096)
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,7 +138,7 @@ def test_fused_dbt_matches_interpreter(instrs, regs):
     cpu_f, mem_f = _run(instrs, regs, "dbt", fusion=True)
     assert cpu_i.regs == cpu_f.regs
     assert cpu_i.pc == cpu_f.pc
-    assert mem_i.read_bytes(BUF, 4096) == mem_f.read_bytes(BUF, 4096)
+    assert read_bytes(mem_i, BUF, 4096) == read_bytes(mem_f, BUF, 4096)
 
 
 # -- hot-path identity on looping programs -----------------------------------
@@ -194,8 +195,7 @@ cell: .quad 0
 
 def _run_asm(source, mode, **engine_kwargs):
     prog = assemble(source)
-    mem = FlatMemory()
-    mem.load_image(prog.iter_load_segments())
+    mem = local_memory(prog.iter_load_segments())
     cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
     engine = ExecutionEngine(mem, mode=mode, **engine_kwargs)
     stop = engine.run_quantum(cpu, 1_000_000_000)

@@ -3,41 +3,17 @@
 from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
-from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
+from repro.mem import PAGE_SIZE, page_of
+from tests.conftest import StallingMemory, local_memory
 
 TEXT = 0x1_0000
 
 
 def load(source):
     prog = assemble(source)
-    mem = FlatMemory()
-    mem.load_image(prog.iter_load_segments())
+    mem = local_memory(prog.iter_load_segments())
     cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
     return prog, mem, cpu
-
-
-class StallingMemory(FlatMemory):
-    """Raises PageStall on first access to each data page, like a DSM client."""
-
-    def __init__(self, stall_pages):
-        super().__init__()
-        self.stall_pages = set(stall_pages)
-        self.stall_log = []
-
-    def _maybe_stall(self, addr, write):
-        page = page_of(addr)
-        if page in self.stall_pages:
-            self.stall_pages.discard(page)
-            self.stall_log.append((page, write))
-            raise PageStall(page, write, addr % PAGE_SIZE)
-
-    def load(self, addr, size, signed):
-        self._maybe_stall(addr, False)
-        return super().load(addr, size, signed)
-
-    def store(self, addr, size, value):
-        self._maybe_stall(addr, True)
-        super().store(addr, size, value)
 
 
 class TestQuantum:
@@ -164,8 +140,7 @@ class TestPreciseStalls:
         """
         prog = assemble(src)
         data_page = page_of(prog.symbol("cell"))
-        mem = StallingMemory([data_page])
-        mem.load_image(prog.iter_load_segments())
+        mem = StallingMemory([data_page], prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
         engine = ExecutionEngine(mem)
         stop = engine.run_quantum(cpu, 1_000_000)
@@ -192,8 +167,7 @@ class TestPreciseStalls:
         """
         prog = assemble(src)
         data_page = page_of(prog.symbol("cell"))
-        mem = StallingMemory([data_page])
-        mem.load_image(prog.iter_load_segments())
+        mem = StallingMemory([data_page], prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
         timing = EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
         engine = ExecutionEngine(mem, timing=timing)
@@ -212,8 +186,7 @@ class TestPreciseStalls:
         cell: .quad 99
         """
         prog = assemble(src)
-        mem = StallingMemory([page_of(prog.symbol("cell"))])
-        mem.load_image(prog.iter_load_segments())
+        mem = StallingMemory([page_of(prog.symbol("cell"))], prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
         engine = ExecutionEngine(mem, mode="interp")
         stop = engine.run_quantum(cpu, 1_000_000)
@@ -225,8 +198,7 @@ class TestPreciseStalls:
 
 class TestFaults:
     def test_invalid_instruction_faults(self):
-        mem = FlatMemory()
-        mem.write_bytes(TEXT, b"\x00\x00\x00\x00")  # opcode 0 undefined
+        mem = local_memory([(TEXT, b"\x00\x00\x00\x00")])  # opcode 0 undefined
         cpu = CPUState(pc=TEXT, tid=1)
         engine = ExecutionEngine(mem)
         stop = engine.run_quantum(cpu, 1000)

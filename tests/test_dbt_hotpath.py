@@ -3,8 +3,8 @@ cycle-accounting/invalidation bugfixes that ride along.
 
 Complements test_dbt_engine.py (baseline engine behaviour) and
 test_dbt_differential.py (architectural identity).  Everything here drives
-the engine directly against a flat memory, the way a single node's DBT
-thread would.
+the engine directly against a single-node LocalMemory, the way a node's
+DBT thread would.
 """
 
 import pytest
@@ -13,7 +13,8 @@ from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
 from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.isa import SPECS, Instruction, assemble, encode
-from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
+from repro.mem import PAGE_SIZE, PageStall, page_of
+from tests.conftest import StallingMemory, local_memory, write_bytes
 
 TEXT = 0x1_0000
 
@@ -30,8 +31,7 @@ loop:
 
 def load(source):
     prog = assemble(source)
-    mem = FlatMemory()
-    mem.load_image(prog.iter_load_segments())
+    mem = local_memory(prog.iter_load_segments())
     cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
     return prog, mem, cpu
 
@@ -53,31 +53,9 @@ def synthetic_tb(pc, fn, *, n_insns=1, pages=None):
     )
 
 
-class StallingMemory(FlatMemory):
-    """Raises PageStall on first access to each listed data page."""
-
-    def __init__(self, stall_pages):
-        super().__init__()
-        self.stall_pages = set(stall_pages)
-
-    def _maybe_stall(self, addr, write):
-        page = page_of(addr)
-        if page in self.stall_pages:
-            self.stall_pages.discard(page)
-            raise PageStall(page, write, addr % PAGE_SIZE)
-
-    def load(self, addr, size, signed):
-        self._maybe_stall(addr, False)
-        return super().load(addr, size, signed)
-
-    def store(self, addr, size, value):
-        self._maybe_stall(addr, True)
-        super().store(addr, size, value)
-
-
 def emit_words(mem, addr, instrs):
     code = b"".join(encode(i).to_bytes(4, "little") for i in instrs)
-    mem.write_bytes(addr, code)
+    write_bytes(mem, addr, code)
 
 
 # -- bugfix: multi-page invalidation ---------------------------------------
@@ -136,7 +114,7 @@ class TestBlockIcReset:
         def stalls_immediately(cpu, mem):
             raise PageStall(0x999, False, 0)
 
-        mem = FlatMemory()
+        mem = local_memory()
         cpu = CPUState(pc=TEXT, tid=1)
         engine = ExecutionEngine(
             mem, timing=EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
@@ -165,8 +143,7 @@ class TestBlockIcReset:
         cell: .quad 5
         """
         prog = assemble(src)
-        mem = StallingMemory([page_of(prog.symbol("cell"))])
-        mem.load_image(prog.iter_load_segments())
+        mem = StallingMemory([page_of(prog.symbol("cell"))], prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
         engine = ExecutionEngine(
             mem, timing=EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
@@ -250,7 +227,7 @@ class TestCodeRewrite:
         return b_pc
 
     def test_rewritten_page_runs_new_code(self):
-        mem = FlatMemory()
+        mem = local_memory()
         b_pc = self._two_page_program(mem, 1)
         engine = ExecutionEngine(mem)
         run_to_syscall(engine, CPUState(pc=TEXT, tid=1))
@@ -269,7 +246,7 @@ class TestCodeRewrite:
         assert cpu.regs[10] == 2
 
     def test_flush_empties_the_cache(self):
-        mem = FlatMemory()
+        mem = local_memory()
         self._two_page_program(mem, 1)
         engine = ExecutionEngine(mem)
         run_to_syscall(engine, CPUState(pc=TEXT, tid=1))
@@ -331,7 +308,7 @@ class TestSuperblocks:
     @pytest.mark.parametrize("budget, sign", [(10_000, -1), (50_000, 1)])
     def test_saved_cycles_are_net_of_trace_compile_cost(self, budget, sign):
         # A one-block loop (addi; jal back) unrolls into a 4-member trace.
-        mem = FlatMemory()
+        mem = local_memory()
         emit_words(mem, TEXT, [
             Instruction(SPECS["addi"], rd=5, rs1=5, imm=1),
             Instruction(SPECS["jal"], rd=0, imm=-4),
@@ -368,7 +345,7 @@ class TestSuperblocks:
         # A 1-instruction block at the tail of one page jumps to a block on
         # the next page, which jumps back: the promoted trace spans both
         # pages and must be indexed (and invalidatable) under each.
-        mem = FlatMemory()
+        mem = local_memory()
         a_pc = TEXT + PAGE_SIZE - 4
         b_pc = TEXT + PAGE_SIZE
         emit_words(mem, a_pc, [Instruction(SPECS["jal"], rd=0, imm=4)])

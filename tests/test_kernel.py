@@ -16,21 +16,23 @@ from repro.kernel import (
     VFS,
 )
 from repro.kernel.vfs import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
-from repro.mem import FlatMemory, MMAP_BASE
+from repro.core.dsmmem import LocalMemory
+from repro.mem import MMAP_BASE
+from tests.conftest import local_memory, read_bytes, write_bytes
 
 
 class DirectKernelMemory:
-    """KernelMemory over FlatMemory; generators that never need to yield."""
+    """KernelMemory over LocalMemory; generators that never need to yield."""
 
-    def __init__(self, mem: FlatMemory):
+    def __init__(self, mem: LocalMemory):
         self.mem = mem
 
     def read_guest(self, addr, size):
-        return self.mem.read_bytes(addr, size)
+        return read_bytes(self.mem, addr, size)
         yield  # pragma: no cover — makes this a generator
 
     def write_guest(self, addr, data):
-        self.mem.write_bytes(addr, data)
+        write_bytes(self.mem, addr, data)
         return None
         yield  # pragma: no cover
 
@@ -46,7 +48,7 @@ def drive(gen):
 
 @pytest.fixture
 def kernel():
-    mem = FlatMemory()
+    mem = local_memory()
     state = SystemState(brk_start=0x20_0000, stdin=b"hello stdin")
     state.threads.create(node=0, parent_tid=0)  # main thread, tid 1
     executor = SyscallExecutor(state, DirectKernelMemory(mem))
@@ -224,7 +226,7 @@ class TestMemoryManager:
 class TestSyscallExecutor:
     def test_write_reads_guest_buffer(self, kernel):
         state, executor, mem = kernel
-        mem.write_bytes(0x5000, b"hello world")
+        write_bytes(mem, 0x5000, b"hello world")
         res = syscall(executor, SYS.WRITE, 1, 0x5000, 11)
         assert res.retval == 11
         assert state.vfs.stdout_text() == "hello world"
@@ -233,12 +235,12 @@ class TestSyscallExecutor:
         state, executor, mem = kernel
         res = syscall(executor, SYS.READ, 0, 0x6000, 5)
         assert res.retval == 5
-        assert mem.read_bytes(0x6000, 5) == b"hello"
+        assert read_bytes(mem, 0x6000, 5) == b"hello"
 
     def test_openat_reads_path_string(self, kernel):
         state, executor, mem = kernel
         state.vfs.add_file("data.bin", b"\x01\x02")
-        mem.write_bytes(0x7000, b"data.bin\x00")
+        write_bytes(mem, 0x7000, b"data.bin\x00")
         res = syscall(executor, SYS.OPENAT, 0, 0x7000, O_RDONLY)
         assert res.retval >= 3
 
