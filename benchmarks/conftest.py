@@ -1,8 +1,9 @@
-"""Shared helpers for the experiment benchmarks.
+"""Shared fixture for the experiment benchmarks.
 
-Each benchmark regenerates one table/figure of the paper (see DESIGN.md's
-per-experiment index), asserts its headline *shape* claims, and writes the
-paper-style rows to ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
+Each benchmark regenerates one artifact of the experiment registry
+(:data:`repro.analysis.registry.ARTIFACTS`; see DESIGN.md's per-experiment
+index), writes it to ``benchmarks/results/`` for EXPERIMENTS.md, and
+asserts its headline *shape* claims on the returned report.
 
 The runs are deterministic simulations, so each experiment executes exactly
 once (``benchmark.pedantic(rounds=1)``); the pytest-benchmark timing then
@@ -15,20 +16,21 @@ import pathlib
 
 import pytest
 
+from repro.analysis.registry import ARTIFACTS, write_report
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture
-def record_result():
-    RESULTS_DIR.mkdir(exist_ok=True)
+def report(benchmark):
+    """``report(stem)`` runs one registry artifact once under
+    pytest-benchmark, writes ``<stem>.txt`` (and its ``BENCH_*.json``) to
+    ``RESULTS_DIR`` and returns the :class:`~repro.analysis.Report`."""
 
-    def write(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        print(f"\n{text}\n")
+    def run(stem: str):
+        result = benchmark.pedantic(ARTIFACTS[stem].run, rounds=1, iterations=1)
+        write_report(stem, result, RESULTS_DIR)
+        print(f"\n{result.text}\n")
+        return result
 
-    return write
-
-
-def run_once(benchmark, fn):
-    """Run a deterministic experiment exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+    return run

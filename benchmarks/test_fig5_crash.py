@@ -19,40 +19,34 @@ It deliberately does not use the benchmark fixture, so the main benchmarks
 job (``--benchmark-only``) skips it.
 """
 
-import json
 import os
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro import Cluster, DQEMUConfig
-from repro.analysis.experiments import run_fig5_crash
 from repro.net.faults import FaultPlan
 from repro.workloads import blackscholes
 
 
-def test_fig5_crash(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_crash)
-    record_result("services_fig5_crash", result.render())
-    (RESULTS_DIR / "BENCH_crash.json").write_text(
-        json.dumps(result.as_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+def test_fig5_crash(report):
+    result = report("services_fig5_crash")
+    scenario = lambda name: result.row(name=name)
 
-    clean = result.scenario("no faults")
-    assert clean.completed
+    clean = scenario("no faults")
+    assert clean["completed"]
 
     # Seed behavior: a dead slave with no failure domain kills the run.
-    bare = result.scenario("crash (no evacuation)")
-    assert not bare.completed
-    assert "no reply" in bare.failure
+    bare = scenario("crash (no evacuation)")
+    assert not bare["completed"]
+    assert "no reply" in bare["failure"]
 
     # Evacuation: the run completes degraded.  The victim's threads were
     # mid-kernel (running, contexts on their cores), so they are lost with
     # per-thread attribution; its directory footprint is reclaimed.
-    evac = result.scenario("crash + evacuation")
-    assert evac.completed
-    assert evac.lost_threads > 0
-    assert evac.rehomed_pages > 0
-    assert evac.detection_ns is not None and evac.detection_ns > 0
-    assert evac.recovery_ns is not None
+    evac = scenario("crash + evacuation")
+    assert evac["completed"]
+    assert evac["lost_threads"] > 0
+    assert evac["rehomed_pages"] > 0
+    assert evac["detection_ns"] is not None and evac["detection_ns"] > 0
+    assert evac["recovery_ns"] is not None
     # Detection is bounded by one call's retry budget against the corpse.
     p = result.params
     windows = p["timeout_ns"] * (p["retries"] + 1)
@@ -60,47 +54,51 @@ def test_fig5_crash(benchmark, record_result):
         (p["backoff_base_ns"] << k) + p["backoff_jitter_ns"]
         for k in range(p["retries"])
     )
-    assert evac.detection_ns <= windows + backoffs
+    assert evac["detection_ns"] <= windows + backoffs
     # Losing a node costs wall time but not the run.
-    assert evac.virtual_ns > clean.virtual_ns
+    assert evac["virtual_ns"] > clean["virtual_ns"]
     # The detector's verdict sticks: the victim ends the run down.
-    assert result.peer_states[p["victim"]] == "down"
+    assert result.payload["peer_states"][str(p["victim"])] == "down"
 
     # Cooperative drain: every thread is handed back, nothing is lost.
-    drain = result.scenario("cooperative drain")
-    assert drain.completed
-    assert drain.evacuated_threads > 0
-    assert drain.lost_threads == 0 and drain.lost_pages == 0
-    assert drain.recovery_ns is not None and drain.recovery_ns > 0
+    drain = scenario("cooperative drain")
+    assert drain["completed"]
+    assert drain["evacuated_threads"] > 0
+    assert drain["lost_threads"] == 0 and drain["lost_pages"] == 0
+    assert drain["recovery_ns"] is not None and drain["recovery_ns"] > 0
 
     # Checkpoint-interval sweep: snapshots turn the same crash's casualties
     # into rollbacks.  Some finite interval achieves zero loss, and the
     # interval trades checkpoint wire bytes against rollback distance.
-    sweep = result.checkpoint_scenarios()
+    sweep = [s for s in result.rows if s["checkpoint_interval_ns"] is not None]
     assert len(sweep) >= 2
-    assert all(s.completed for s in sweep)
-    assert any(s.lost_threads == 0 and s.restored_threads > 0 for s in sweep)
-    by_interval = sorted(sweep, key=lambda s: s.checkpoint_interval_ns)
-    bytes_by_interval = [s.checkpoint_bytes for s in by_interval]
+    assert all(s["completed"] for s in sweep)
+    assert any(s["lost_threads"] == 0 and s["restored_threads"] > 0 for s in sweep)
+    by_interval = sorted(sweep, key=lambda s: s["checkpoint_interval_ns"])
+    bytes_by_interval = [s["checkpoint_bytes"] for s in by_interval]
     assert bytes_by_interval == sorted(bytes_by_interval, reverse=True)
     rollbacks = [
-        s.mean_rollback_ns for s in by_interval if s.mean_rollback_ns is not None
+        s["mean_rollback_ns"] for s in by_interval
+        if s["mean_rollback_ns"] is not None
     ]
     assert rollbacks and rollbacks[-1] > rollbacks[0]
     # Every restored thread rolled back at most one detection span plus one
     # checkpoint interval (the snapshot it restored from was the newest).
     for s in by_interval:
-        if s.mean_rollback_ns is not None:
-            assert s.mean_rollback_ns > 0
+        if s["mean_rollback_ns"] is not None:
+            assert s["mean_rollback_ns"] > 0
 
     # The committed tables carry the failure-domain columns; the restored
     # column appears in the checkpoint run's breakdown.
-    assert "lost threads" in result.evacuated_breakdown
-    assert "rehomed pages" in result.evacuated_breakdown
-    assert "restored" in result.checkpoint_breakdown
-    assert "checkpoint" in result.checkpoint_breakdown
+    (_, evacuated_breakdown, checkpoint_breakdown) = result.text.split(
+        "Runtime service load"
+    )
+    assert "lost threads" in evacuated_breakdown
+    assert "rehomed pages" in evacuated_breakdown
+    assert "restored" in checkpoint_breakdown
+    assert "checkpoint" in checkpoint_breakdown
     # The default (no-checkpoint) breakdown gains no checkpoint service row.
-    assert "checkpoint" not in result.evacuated_breakdown
+    assert "checkpoint" not in evacuated_breakdown
 
 
 def test_crash_smoke_matrix():

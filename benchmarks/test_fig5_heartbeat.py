@@ -17,74 +17,70 @@ variable.  It deliberately does not use the benchmark fixture, so the main
 benchmarks job (``--benchmark-only``) skips it.
 """
 
-import json
 import os
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro import Cluster, DQEMUConfig
-from repro.analysis.experiments import run_fig5_heartbeat
 from repro.errors import SimulationError
 from repro.net.faults import FaultPlan
 from repro.workloads import pi_taylor
 
 
-def test_fig5_heartbeat(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_heartbeat)
-    record_result("services_fig5_heartbeat", result.render())
-    (RESULTS_DIR / "BENCH_heartbeat.json").write_text(
-        json.dumps(result.as_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+def test_fig5_heartbeat(report):
+    result = report("services_fig5_heartbeat")
+    scenario = lambda name: result.row(name=name)
 
     # Heartbeats default off: the clean baseline sends not a single frame.
-    clean = result.scenario("quiet: no faults")
-    assert clean.completed
-    assert clean.heartbeats_sent == 0 and clean.heartbeat_bytes == 0
+    clean = scenario("quiet: no faults")
+    assert clean["completed"]
+    assert clean["heartbeats_sent"] == 0 and clean["heartbeat_bytes"] == 0
 
     # The quiet victim is invisible to the passive detector: with no call
     # aimed at the corpse the retry budget never trips and the run starves.
-    hung = result.scenario("quiet: crash (no heartbeat)")
-    assert not hung.completed
-    assert "deadlock" in hung.failure or "budget" in hung.failure
+    hung = scenario("quiet: crash (no heartbeat)")
+    assert not hung["completed"]
+    assert "deadlock" in hung["failure"] or "budget" in hung["failure"]
 
     # Interval sweep: every armed run completes degraded, detection is
     # attributed to the lease and lands within the configured bound.
-    sweep = result.sweep_scenarios()
+    sweep = [
+        s for s in result.rows
+        if s["heartbeat_interval_ns"] is not None and s["name"].startswith("quiet")
+    ]
     assert len(sweep) >= 2
     for s in sweep:
-        assert s.completed
-        assert s.evidence == "lease-expiry"
-        assert s.lost_threads > 0
-        assert s.lease_expiries > 0
-        assert s.detection_ns is not None
-        assert 0 < s.detection_ns <= s.detection_bound_ns
+        assert s["completed"]
+        assert s["evidence"] == "lease-expiry"
+        assert s["lost_threads"] > 0
+        assert s["lease_expiries"] > 0
+        assert s["detection_ns"] is not None
+        assert 0 < s["detection_ns"] <= s["detection_bound_ns"]
     # The latency/overhead tradeoff: a longer renewal interval detects
     # later but spends fewer wire bytes keeping the lease warm.
-    by_interval = sorted(sweep, key=lambda s: s.heartbeat_interval_ns)
-    detections = [s.detection_ns for s in by_interval]
+    by_interval = sorted(sweep, key=lambda s: s["heartbeat_interval_ns"])
+    detections = [s["detection_ns"] for s in by_interval]
     assert detections == sorted(detections)
-    hb_bytes = [s.heartbeat_bytes for s in by_interval]
+    hb_bytes = [s["heartbeat_bytes"] for s in by_interval]
     assert hb_bytes == sorted(hb_bytes, reverse=True)
 
     # Evidence merging: the busy victim's retry budget exhausts well inside
     # the slack lease, so the passive detector wins the race — same health
     # view, same failure-domain path, different first evidence.
-    busy = result.scenario("busy: crash + slack hb")
-    assert busy.completed
-    assert busy.evidence == "rpc-timeout"
-    assert busy.heartbeats_sent > 0  # heartbeats were armed, just slack
+    busy = scenario("busy: crash + slack hb")
+    assert busy["completed"]
+    assert busy["evidence"] == "rpc-timeout"
+    assert busy["heartbeats_sent"] > 0  # heartbeats were armed, just slack
 
     # The committed breakdown carries both heartbeat service rows; the
     # detector's verdict sticks in the final health view.
-    assert "heartbeat" in result.heartbeat_breakdown
-    assert "node.heartbeat" in result.heartbeat_breakdown
-    assert result.peer_states[result.params["victim"]] == "down"
-    assert all(
-        state == "up"
-        for nid, state in result.peer_states.items()
-        if nid != result.params["victim"]
-    )
+    (_, heartbeat_breakdown) = result.text.split("Runtime service load")
+    assert "heartbeat" in heartbeat_breakdown
+    assert "node.heartbeat" in heartbeat_breakdown
+    victim = str(result.params["victim"])
+    peer_states = result.payload["peer_states"]
+    assert peer_states[victim] == "down"
+    assert all(state == "up" for nid, state in peer_states.items() if nid != victim)
 
 
 def test_heartbeat_smoke_matrix():

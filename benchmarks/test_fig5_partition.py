@@ -16,46 +16,45 @@ deliberately does not use the benchmark fixture, so the main benchmarks job
 
 import os
 
-from benchmarks.conftest import run_once
 from repro import Cluster, DQEMUConfig
-from repro.analysis.experiments import run_fig5_partition
 from repro.net.faults import FaultPlan, drop
 from repro.workloads import blackscholes
 
 
-def test_fig5_partition(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_partition)
-    record_result("services_fig5_partition", result.render())
+def test_fig5_partition(report):
+    result = report("services_fig5_partition")
+    scenario = lambda name: result.row(name=name)
 
-    clean = result.scenario("no faults")
-    assert clean.completed
+    clean = scenario("no faults")
+    assert clean["completed"]
     # Arming the retry budget on a lossless fabric must change nothing.
-    assert clean.retransmits == 0 and clean.recoveries == 0
+    assert clean["retransmits"] == 0 and clean["recoveries"] == 0
 
     for every in result.params["drop_everies"]:
-        lossy = result.scenario(f"drop 1/{every}")
-        assert lossy.completed
+        lossy = scenario(f"drop 1/{every}")
+        assert lossy["completed"]
         # Every loss was detected and retransmitted, at a goodput cost.
-        assert lossy.dropped_frames > 0
-        assert lossy.retransmits > 0 and lossy.recoveries > 0
-        assert lossy.goodput_mips < clean.goodput_mips
+        assert lossy["dropped_frames"] > 0
+        assert lossy["retransmits"] > 0 and lossy["recoveries"] > 0
+        assert lossy["goodput_mips"] < clean["goodput_mips"]
 
-    bare = result.scenario("partition (no retry)")
-    assert not bare.completed
-    assert "no reply" in bare.failure
+    bare = scenario("partition (no retry)")
+    assert not bare["completed"]
+    assert "no reply" in bare["failure"]
 
-    healed = result.scenario("partition + retry")
-    assert healed.completed
-    assert healed.dropped_frames > 0
-    assert healed.recoveries > 0
-    assert healed.mean_recovery_us > 0
+    healed = scenario("partition + retry")
+    assert healed["completed"]
+    assert healed["dropped_frames"] > 0
+    assert healed["recoveries"] > 0
+    assert healed["mean_recovery_us"] > 0
     # Recovering from a partition window costs more wall time than the
     # per-frame background loss (backoff spans the whole window).
-    assert healed.mean_recovery_us > result.scenario("drop 1/40").mean_recovery_us
+    assert healed["mean_recovery_us"] > scenario("drop 1/40")["mean_recovery_us"]
     # Everyone came back: the healed run ends with every peer reachable.
-    assert set(result.peer_states.values()) == {"up"}
+    assert set(result.payload["peer_states"].values()) == {"up"}
     # The committed table carries the per-service reliability columns.
-    assert "retransmits" in result.healed_breakdown
+    (_, healed_breakdown) = result.text.split("Runtime service load")
+    assert "retransmits" in healed_breakdown
 
 
 def test_partition_smoke_matrix():

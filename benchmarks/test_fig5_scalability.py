@@ -5,16 +5,14 @@ single slave node is near-linear in the node count (1.00, 1.97, 2.97, 3.98,
 4.93, 5.94) while vanilla QEMU is capped at one node (dashed line at 1.04).
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig5
 
 
-def test_fig5_scalability(benchmark, record_result):
-    result = run_once(benchmark, run_fig5)
-    record_result("fig5_scalability", result.render())
+def test_fig5_scalability(report):
+    result = report("fig5_scalability")
 
-    speedups = result.speedups
-    counts = result.slave_counts
+    speedups = {r["slaves"]: r["speedup"] for r in result.rows}
+    counts = result.column("slaves")
+    qemu_speedup = result.rows[0]["qemu_speedup"]
     # Monotonic scaling across the whole node range.
     for a, b in zip(counts, counts[1:]):
         assert speedups[b] > speedups[a]
@@ -22,5 +20,5 @@ def test_fig5_scalability(benchmark, record_result):
     assert speedups[counts[-1]] >= 4.5
     # Vanilla QEMU is a single-node system, slightly faster than DQEMU-1
     # (paper: 1.04) but far below multi-node DQEMU.
-    assert 1.0 <= result.qemu_speedup <= 1.15
-    assert speedups[counts[-1]] > 3 * result.qemu_speedup
+    assert 1.0 <= qemu_speedup <= 1.15
+    assert speedups[counts[-1]] > 3 * qemu_speedup

@@ -8,25 +8,23 @@ queue wait.  Partitioning the directory across shard pools serves requests
 for unrelated pages in parallel and must cut that wait monotonically.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig5_sharded
 
 
-def test_fig5_sharded(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_sharded)
-    record_result("services_fig5_sharded", result.render())
+def test_fig5_sharded(report):
+    result = report("services_fig5_sharded")
 
-    top = result.slave_counts[-1]
-    shards = result.shard_counts
+    top = result.rows[-1]["slaves"]
+    shards = result.params["shard_counts"]
     assert shards[0] == 1
+    cell = lambda k: result.row(slaves=top, shards=k)
     # There is head-of-line blocking to attack at the high end...
-    assert result.coherence_wait_ns[(top, 1)] > 0
+    assert cell(1)["queue_wait_us"] > 0
     # ...and sharding attacks it: mean coherence queue wait strictly drops
     # at every shard doubling, at the highest node count.
-    waits = [result.mean_wait_us(top, k) for k in shards]
+    waits = [cell(k)["mean_wait_us"] for k in shards]
     for narrow, wide in zip(waits, waits[1:]):
         assert wide < narrow
     # The shard sweep never changes guest work: same request volume (within
     # the small jitter retries introduce) at every shard count.
-    reqs = [result.coherence_requests[(top, k)] for k in shards]
+    reqs = [cell(k)["coherence_reqs"] for k in shards]
     assert max(reqs) - min(reqs) <= 0.05 * max(reqs)

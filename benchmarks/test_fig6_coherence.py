@@ -24,47 +24,21 @@ msi, mesi and adaptive).  It deliberately does not use the benchmark
 fixture, so the main benchmarks job (``--benchmark-only``) skips it.
 """
 
-import json
 import os
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro import Cluster, DQEMUConfig
-from repro.analysis import run_fig6_coherence
 from repro.workloads import memaccess
 
-PROTOCOLS = ("msi", "mesi", "migrate", "adaptive")
-RMW_THREADS = 8
-RMW_PAGES_PER_THREAD = 8
-PRIVATE_PAGES = RMW_THREADS * RMW_PAGES_PER_THREAD
 
+def test_fig6_coherence(report):
+    result = report("fig6_coherence")
+    m = lambda wl, proto, key: result.row(workload=wl, protocol=proto)[key]
+    private_pages = result.params["rmw_threads"] * result.params["rmw_pages_per_thread"]
+    assert {r["protocol"] for r in result.rows} == {"msi", "mesi", "migrate", "adaptive"}
 
-def test_fig6_coherence(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: run_fig6_coherence(
-            protocols=PROTOCOLS,
-            rmw_threads=RMW_THREADS,
-            rmw_pages_per_thread=RMW_PAGES_PER_THREAD,
-        ),
-    )
-    record_result("fig6_coherence", result.render())
-    (RESULTS_DIR / "BENCH_coherence.json").write_text(
-        json.dumps(
-            {
-                "experiment": "fig6_coherence",
-                "params": result.params,
-                "rows": result.rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-    m = result.metric
     # MSI is the paper's protocol: no Exclusive grants, no silent upgrades,
     # no migrations, ever.
-    for wl in result.workloads:
+    for wl in {r["workload"] for r in result.rows}:
         for key in ("exclusive_grants", "silent_upgrades", "upgrade_acks",
                     "home_migrations", "reclassifications"):
             assert m(wl, "msi", key) == 0, (wl, key)
@@ -72,10 +46,10 @@ def test_fig6_coherence(benchmark, record_result):
     # Single-writer pages: MESI converts each private page's S→M upgrade
     # round trip into a silent local flip — write upgrades drop by the full
     # private page count and the saved round trips show up end to end.
-    assert m("single-writer", "mesi", "silent_upgrades") >= PRIVATE_PAGES
+    assert m("single-writer", "mesi", "silent_upgrades") >= private_pages
     assert (
         m("single-writer", "mesi", "write_upgrades")
-        <= m("single-writer", "msi", "write_upgrades") - PRIVATE_PAGES
+        <= m("single-writer", "msi", "write_upgrades") - private_pages
     )
     assert m("single-writer", "mesi", "time_ms") < m("single-writer", "msi", "time_ms")
     assert (

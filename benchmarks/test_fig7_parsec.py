@@ -6,17 +6,18 @@ Paper: both programs scale with node count (blackscholes near-linear, to
 sits at a flat 1.26 relative to one-slave DQEMU.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig7
 
 
-def test_fig7_blackscholes(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig7("blackscholes"))
-    record_result("fig7_blackscholes", result.render())
+def _speedups(result, series):
+    return {r["slaves"]: r[series] for r in result.rows}
 
-    counts = result.slave_counts
-    origin = result.speedups("origin")
-    fwd = result.speedups("forwarding")
+
+def test_fig7_blackscholes(report):
+    result = report("fig7_blackscholes")
+
+    counts = result.column("slaves")
+    origin = _speedups(result, "origin")
+    fwd = _speedups(result, "forwarding")
     # Scales with node count (monotone non-decreasing, clearly > 1 at the top).
     assert origin[counts[-1]] >= 1.8
     assert origin[counts[-1]] >= origin[counts[0]]
@@ -27,16 +28,15 @@ def test_fig7_blackscholes(benchmark, record_result):
     assert all(g > 0.995 for g in gains)
     assert sum(gains) / len(gains) > 1.02
     # QEMU line is flat and modest (paper: 1.26).
-    assert 1.0 <= result.qemu_speedup <= 1.6
+    assert 1.0 <= result.rows[0]["qemu-4.2.0"] <= 1.6
 
 
-def test_fig7_swaptions(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig7("swaptions"))
-    record_result("fig7_swaptions", result.render())
+def test_fig7_swaptions(report):
+    result = report("fig7_swaptions")
 
-    counts = result.slave_counts
-    origin = result.speedups("origin")
-    both = result.speedups("forwarding+splitting")
+    counts = result.column("slaves")
+    origin = _speedups(result, "origin")
+    both = _speedups(result, "forwarding+splitting")
     # Little data, little sharing: clear multi-node scaling (the origin
     # series dips at high node counts where result-page ping-pong bites —
     # which is precisely what splitting repairs).
@@ -46,4 +46,4 @@ def test_fig7_swaptions(benchmark, record_result):
     # counts (paper: 6.1-14.7 %).
     gains = [both[n] / origin[n] for n in counts if n >= 2]
     assert max(gains) > 1.04
-    assert 1.0 <= result.qemu_speedup <= 1.3
+    assert 1.0 <= result.rows[0]["qemu-4.2.0"] <= 1.3

@@ -5,42 +5,41 @@ scheduling vs round-robin.
 Paper: execution time drops as nodes are added, but page-fault time
 "increases dramatically if the threads are not properly scheduled"; the
 hint-based scheme improves performance "quite substantially" (left bars
-below right bars, mostly via the page-fault component).
+below right bars, mostly via the page-fault component).  Every component is
+normalized to QEMU's mean per-thread total, so comparisons between schedules
+read the same on the normalized rows as on raw time.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig8
 
+def test_fig8_x264(report):
+    result = report("fig8_x264")
 
-def test_fig8_x264(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig8("x264"))
-    record_result("fig8_x264", result.render())
-
-    counts = result.slave_counts
+    counts = sorted({r["nodes"] for r in result.rows})
+    bar = lambda n, sched: result.row(nodes=n, scheduler=sched)
     # Execution component is flat (same guest work on any schedule).
     for n in counts:
-        ex_h = result.normalized(n, "hint")["execute_ns"]
-        ex_r = result.normalized(n, "round_robin")["execute_ns"]
+        ex_h = bar(n, "hint")["execute"]
+        ex_r = bar(n, "round_robin")["execute"]
         assert abs(ex_h - ex_r) / ex_r < 0.1
     # Hint scheduling reduces the page-fault component where cross-node
     # reference reads dominate (the paper's effect; strongest at high node
     # counts in our scaled runs).
     top = counts[-1]
-    pf_hint = result.breakdowns[(top, "hint")]["pagefault_ns"]
-    pf_rr = result.breakdowns[(top, "round_robin")]["pagefault_ns"]
+    pf_hint = bar(top, "hint")["pagefault"]
+    pf_rr = bar(top, "round_robin")["pagefault"]
     assert pf_hint < pf_rr
-    assert result.total(top, "hint") < result.total(top, "round_robin")
+    assert bar(top, "hint")["total"] < bar(top, "round_robin")["total"]
 
 
-def test_fig8_fluidanimate(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig8("fluidanimate"))
-    record_result("fig8_fluidanimate", result.render())
+def test_fig8_fluidanimate(report):
+    result = report("fig8_fluidanimate")
 
-    counts = result.slave_counts
+    counts = sorted({r["nodes"] for r in result.rows})
+    bar = lambda n, sched: result.row(nodes=n, scheduler=sched)
     for n in counts:
-        pf_hint = result.breakdowns[(n, "hint")]["pagefault_ns"]
-        pf_rr = result.breakdowns[(n, "round_robin")]["pagefault_ns"]
+        pf_hint = bar(n, "hint")["pagefault"]
+        pf_rr = bar(n, "round_robin")["pagefault"]
         # Grouped neighbour blocks slash boundary-exchange page faults
         # (paper: "quite substantially"; we require >= 1.5x at every count).
         assert pf_hint < pf_rr / 1.5
-        assert result.total(n, "hint") < result.total(n, "round_robin")
+        assert bar(n, "hint")["total"] < bar(n, "round_robin")["total"]

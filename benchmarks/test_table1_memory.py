@@ -15,20 +15,21 @@ local QEMU; forwarding recovers most of it and slashes fault latency
 splitting restores it past the single-node baseline.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_table1
 
 
-def test_table1_memory(benchmark, record_result):
-    result = run_once(benchmark, run_table1)
-    record_result("table1_memory", result.render())
+def test_table1_memory(report):
+    result = report("table1_memory")
 
-    qemu_seq, _ = result.row("QEMU Sequential Access")
-    remote, remote_lat = result.row("Remote Sequential Access")
-    fwd, fwd_lat = result.row("Page forwarding Enabled")
-    qemu_128, _ = result.row("QEMU Access of 128 bytes")
-    false_sharing, _ = result.row("False Sharing of 1 Page")
-    splitting, _ = result.row("Page Splitting Enabled")
+    def row(access):
+        r = result.row(access=access)
+        return r["mbps"], r["latency_us"]
+
+    qemu_seq, _ = row("QEMU Sequential Access")
+    remote, remote_lat = row("Remote Sequential Access")
+    fwd, fwd_lat = row("Page forwarding Enabled")
+    qemu_128, _ = row("QEMU Access of 128 bytes")
+    false_sharing, _ = row("False Sharing of 1 Page")
+    splitting, _ = row("Page Splitting Enabled")
 
     # Remote sequential access collapses (paper: 173 -> 7.88, ~22x).
     assert remote < qemu_seq / 10

@@ -1,19 +1,7 @@
-"""Experiment harnesses, metrics and reporting for the paper's evaluation."""
+"""Experiments, their registry, metrics and reporting for the paper's evaluation."""
 
 from repro.analysis.experiments import (
-    CrashScenario,
-    Fig5CrashResult,
-    Fig5HeartbeatResult,
-    Fig5PartitionResult,
-    Fig5Result,
-    Fig5ShardedResult,
-    Fig6CoherenceResult,
-    Fig6Result,
-    Fig7Result,
-    Fig8Result,
-    HeartbeatScenario,
-    PartitionScenario,
-    Table1Result,
+    run_dbt_hotpath,
     run_fig5,
     run_fig5_crash,
     run_fig5_heartbeat,
@@ -23,34 +11,23 @@ from repro.analysis.experiments import (
     run_fig6_coherence,
     run_fig7,
     run_fig8,
+    run_fig9_multitenant,
+    run_services_mutex,
+    run_services_seq_forwarding,
     run_table1,
 )
-from repro.analysis.metrics import (
-    mean_fault_latency_us,
-    normalized,
-    speedup,
-    throughput_mbps,
-)
-from repro.analysis.reporting import render_series, render_table
+from repro.analysis.metrics import mean_fault_latency_us, throughput_mbps
+from repro.analysis.registry import ARTIFACTS, Artifact, write_report
+from repro.analysis.reporting import Report, render_rows, render_table
 
 __all__ = [
-    "CrashScenario",
-    "Fig5CrashResult",
-    "Fig5HeartbeatResult",
-    "Fig5PartitionResult",
-    "Fig5Result",
-    "Fig5ShardedResult",
-    "Fig6CoherenceResult",
-    "Fig6Result",
-    "Fig7Result",
-    "Fig8Result",
-    "HeartbeatScenario",
-    "PartitionScenario",
-    "Table1Result",
+    "ARTIFACTS",
+    "Artifact",
+    "Report",
     "mean_fault_latency_us",
-    "normalized",
-    "render_series",
+    "render_rows",
     "render_table",
+    "run_dbt_hotpath",
     "run_fig5",
     "run_fig5_crash",
     "run_fig5_heartbeat",
@@ -60,7 +37,10 @@ __all__ = [
     "run_fig6_coherence",
     "run_fig7",
     "run_fig8",
+    "run_fig9_multitenant",
+    "run_services_mutex",
+    "run_services_seq_forwarding",
     "run_table1",
-    "speedup",
     "throughput_mbps",
+    "write_report",
 ]

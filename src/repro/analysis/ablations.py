@@ -16,16 +16,13 @@ each one on the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.metrics import mean_fault_latency_us, throughput_mbps
-from repro.analysis.reporting import render_table
+from repro.analysis.reporting import Report
 from repro.core.cluster import Cluster
 from repro.core.config import DQEMUConfig
 from repro.workloads import memaccess, mutex_bench
 
 __all__ = [
-    "AblationResult",
     "ablate_forwarding_window",
     "ablate_splitting_trigger",
     "ablate_quantum",
@@ -35,22 +32,9 @@ __all__ = [
 RUN_KW = dict(max_virtual_ms=60_000_000)
 
 
-@dataclass
-class AblationResult:
-    name: str
-    headers: list[str]
-    rows: list[tuple]
-
-    def render(self) -> str:
-        return render_table(self.headers, self.rows, title=self.name)
-
-    def column(self, idx: int) -> list:
-        return [row[idx] for row in self.rows]
-
-
 def ablate_forwarding_window(
     windows=(0, 4, 16, 64, 256), npages: int = 128
-) -> AblationResult:
+) -> Report:
     """Window 0 disables forwarding entirely."""
     prog = memaccess.build_seq_walk(npages=npages)
     rows = []
@@ -62,24 +46,22 @@ def ablate_forwarding_window(
         )
         r = Cluster(1, cfg).run(prog, **RUN_KW)
         elapsed, _ = memaccess.parse_output(r.stdout)
-        rows.append(
-            (
-                w,
-                throughput_mbps(memaccess.seq_walk_bytes(npages), elapsed),
-                mean_fault_latency_us(r),
-                r.stats.protocol.pages_forwarded,
-            )
-        )
-    return AblationResult(
+        rows.append({
+            "max window": w,
+            "MB/s": throughput_mbps(memaccess.seq_walk_bytes(npages), elapsed),
+            "fault latency us": mean_fault_latency_us(r),
+            "pages pushed": r.stats.protocol.pages_forwarded,
+        })
+    return Report.table(
         "Ablation — forwarding window cap (sequential walk)",
-        ["max window", "MB/s", "fault latency us", "pages pushed"],
         rows,
+        dict(windows=tuple(windows), npages=npages),
     )
 
 
 def ablate_splitting_trigger(
     triggers=(5, 10, 20, 10_000), iters: int = 80_000
-) -> AblationResult:
+) -> Report:
     """Run at a reduced protocol-service scale so ownership ping-pong cycles
     are short enough for every trigger level to be reachable in a bounded
     run; trigger=10_000 is effectively 'never split'."""
@@ -91,62 +73,56 @@ def ablate_splitting_trigger(
         )
         r = Cluster(2, cfg).run(memaccess.build_false_sharing(**prog_args), **RUN_KW)
         elapsed, _ = memaccess.parse_false_sharing_output(r.stdout)
-        rows.append(
-            (
-                trig,
-                memaccess.aggregate_bandwidth_mbps(elapsed, iters),
-                r.stats.protocol.splits,
-                r.stats.protocol.merges,
-            )
-        )
-    return AblationResult(
+        rows.append({
+            "trigger": trig,
+            "aggregate MB/s": memaccess.aggregate_bandwidth_mbps(elapsed, iters),
+            "splits": r.stats.protocol.splits,
+            "merges": r.stats.protocol.merges,
+        })
+    return Report.table(
         "Ablation — false-sharing trigger count",
-        ["trigger", "aggregate MB/s", "splits", "merges"],
         rows,
+        dict(triggers=tuple(triggers), iters=iters),
     )
 
 
 def ablate_quantum(
     quanta=(5_000, 20_000, 50_000, 200_000), iters: int = 10_000
-) -> AblationResult:
+) -> Report:
     rows = []
     for q in quanta:
         cfg = DQEMUConfig(quantum_cycles=q)
         r = Cluster(2, cfg).run(
             mutex_bench.build(n_threads=8, iters=iters, private=False), **RUN_KW
         )
-        rows.append(
-            (
-                q,
-                mutex_bench.elapsed_ns(r.stdout) / 1e6,
-                r.stats.protocol.futex_waits,
-            )
-        )
-    return AblationResult(
+        rows.append({
+            "quantum cycles": q,
+            "lock phase ms": mutex_bench.elapsed_ns(r.stdout) / 1e6,
+            "futex waits": r.stats.protocol.futex_waits,
+        })
+    return Report.table(
         "Ablation — scheduling quantum vs contended global lock",
-        ["quantum cycles", "lock phase ms", "futex waits"],
         rows,
+        dict(quanta=tuple(quanta), iters=iters),
     )
 
 
 def ablate_dsm_service(
     services_us=(40, 160, 320, 640), npages: int = 64
-) -> AblationResult:
+) -> Report:
     prog = memaccess.build_seq_walk(npages=npages)
     rows = []
     for s in services_us:
         cfg = DQEMUConfig(dsm_service_ns=s * 1000)
         r = Cluster(1, cfg).run(prog, **RUN_KW)
         elapsed, _ = memaccess.parse_output(r.stdout)
-        rows.append(
-            (
-                s,
-                mean_fault_latency_us(r),
-                throughput_mbps(memaccess.seq_walk_bytes(npages), elapsed),
-            )
-        )
-    return AblationResult(
+        rows.append({
+            "service us": s,
+            "fault latency us": mean_fault_latency_us(r),
+            "MB/s": throughput_mbps(memaccess.seq_walk_bytes(npages), elapsed),
+        })
+    return Report.table(
         "Ablation — master protocol service time vs remote-page latency",
-        ["service us", "fault latency us", "MB/s"],
         rows,
+        dict(services_us=tuple(services_us), npages=npages),
     )

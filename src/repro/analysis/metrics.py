@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from repro.core.cluster import RunResult
 
-__all__ = ["speedup", "throughput_mbps", "mean_fault_latency_us", "normalized"]
-
-
-def speedup(baseline_ns: int, measured_ns: int) -> float:
-    """How much faster ``measured`` is than ``baseline``."""
-    if measured_ns <= 0:
-        raise ValueError("measured time must be positive")
-    return baseline_ns / measured_ns
+__all__ = ["throughput_mbps", "mean_fault_latency_us"]
 
 
 def throughput_mbps(bytes_accessed: int, virtual_ns: int) -> float:
@@ -33,9 +26,3 @@ def mean_fault_latency_us(result: RunResult, tids: list[int] | None = None) -> f
     if faults == 0:
         return 0.0
     return wait_ns / faults / 1e3
-
-
-def normalized(values: dict, base_key) -> dict:
-    """Normalize a {key: time} map to the entry at ``base_key``."""
-    base = values[base_key]
-    return {k: base / v for k, v in values.items()}

@@ -1,13 +1,61 @@
-"""Plain-text rendering of experiment results (paper-style rows/series)."""
+"""Experiment reports and their plain-text rendering (paper-style rows)."""
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence, Union
 
-__all__ = ["render_table", "render_series", "render_service_breakdown", "format_value"]
+__all__ = [
+    "Column",
+    "Report",
+    "SERVICE_COLUMN_GROUPS",
+    "format_value",
+    "render_rows",
+    "render_service_breakdown",
+    "render_table",
+]
+
+#: A table column: its header and either the row key it shows or a function
+#: computing the cell from the row.
+Column = tuple[str, Union[str, Callable[[dict], Any]]]
+
+
+@dataclass
+class Report:
+    """What one experiment produces.
+
+    ``text`` is the rendered paper-style table; ``rows`` are its measured
+    rows as dicts keyed by column; ``params`` the inputs it ran with.
+    ``payload`` is the machine-readable form of the result; the experiment
+    registry commits it as a ``BENCH_*.json`` file where it names one.
+    """
+
+    text: str
+    rows: list[dict]
+    params: dict
+    payload: Optional[dict] = None
+
+    @classmethod
+    def table(cls, title: str, rows: list[dict], params: dict,
+              columns: Optional[Sequence[Column]] = None) -> "Report":
+        """A one-table report; ``columns`` defaults to one per row key."""
+        text = render_rows(columns or [(k, k) for k in rows[0]], rows, title)
+        return cls(text, rows, params)
+
+    def row(self, **match) -> dict:
+        """The first row whose columns equal every ``match`` value."""
+        for r in self.rows:
+            if all(r[k] == v for k, v in match.items()):
+                return r
+        raise KeyError(match)
+
+    def column(self, key: str) -> list:
+        return [r[key] for r in self.rows]
 
 
 def format_value(v: Any) -> str:
+    if v is None:
+        return "-"
     if isinstance(v, float):
         if v == 0:
             return "0"
@@ -37,11 +85,45 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-def render_series(name: str, xs: Sequence[Any], series: dict[str, Sequence[float]]) -> str:
-    """Render figure-style data: one x column, one column per series."""
-    headers = ["x"] + list(series)
-    rows = [[x, *(vals[i] for vals in series.values())] for i, x in enumerate(xs)]
-    return render_table(headers, rows, title=name)
+def render_rows(columns: Sequence[Column], rows: Sequence[dict],
+                title: str | None = None) -> str:
+    """Render dict rows through ``columns``; ``None`` cells render as ``-``."""
+    return render_table(
+        [header for header, _ in columns],
+        [[key(r) if callable(key) else r[key] for _, key in columns] for r in rows],
+        title=title,
+    )
+
+
+#: Optional column groups of the service breakdown: ``(headers, values)``
+#: where ``values`` reads the group's cells off one ``ServiceStats``.  A group
+#: renders only when some service has a nonzero value in it, so tables from
+#: runs that never exercised a feature stay byte-identical.
+SERVICE_COLUMN_GROUPS: tuple[tuple[tuple[str, ...], Callable[[Any], tuple]], ...] = (
+    # Reliability: the RPC retransmit layer retried a call.
+    (
+        ("retransmits", "recovered", "mean recovery (us)"),
+        lambda s: (
+            s.retransmits, s.recoveries,
+            s.recovery_wait_ns / s.recoveries / 1e3 if s.recoveries else 0.0,
+        ),
+    ),
+    # Failure domain: a node crashed or drained mid-run.
+    (
+        ("evacuated", "restored", "lost threads", "rehomed pages", "lost M pages"),
+        lambda s: (
+            s.evacuations, s.restores, s.lost_threads, s.rehomed_pages, s.lost_pages,
+        ),
+    ),
+    # Coherence protocol: a non-MSI ``coherence_protocol`` granted or moved pages.
+    (
+        ("E grants", "silent E->M", "migrations", "reclass"),
+        lambda s: (
+            s.exclusive_grants, s.silent_upgrades, s.home_migrations,
+            s.reclassifications,
+        ),
+    ),
+)
 
 
 def render_service_breakdown(stats) -> str:
@@ -52,72 +134,31 @@ def render_service_breakdown(stats) -> str:
     ``queue-wait`` is time served frames sat in the handling process's
     mailbox before dispatch (head-of-line blocking).  Services dispatched on
     more than one master shard get per-shard sub-rows under the aggregate,
-    exposing shard load imbalance.
-
-    The reliability columns (retransmits / recoveries / mean recovery
-    latency, fed by the RPC retransmit layer) appear only when some service
-    actually retried — zero-loss tables keep rendering byte-identically.
-    The failure-domain columns (threads evacuated / restored from
-    checkpoint / lost, directory pages re-homed / written off) follow the
-    same rule: they appear only when a node actually crashed or drained
-    mid-run.  So do the coherence-protocol
-    columns (Exclusive grants, silent E→M upgrades, home migrations,
-    adaptive reclassifications): they only render under a non-MSI
-    ``coherence_protocol``, keeping every default table byte-identical.
+    exposing shard load imbalance.  The :data:`SERVICE_COLUMN_GROUPS` follow
+    their base columns; their counters are per service, so shard sub-rows
+    leave them blank.
     """
     services = sorted(
         stats.services.values(), key=lambda s: (-s.busy_ns, -s.requests, s.name)
     )
-    reliable = any(s.retransmits or s.recoveries for s in services)
-    failure = any(
-        s.evacuations or s.restores or s.lost_threads or s.rehomed_pages
-        or s.lost_pages
-        for s in services
-    )
-    coherent = any(
-        s.exclusive_grants or s.silent_upgrades or s.home_migrations
-        or s.reclassifications
-        for s in services
-    )
+    groups = [
+        (headers, values) for headers, values in SERVICE_COLUMN_GROUPS
+        if any(any(values(s)) for s in services)
+    ]
     headers = ["service", "shard", "requests", "busy (us)", "queue-wait (us)"]
-    if reliable:
-        headers += ["retransmits", "recovered", "mean recovery (us)"]
-    if failure:
-        headers += [
-            "evacuated", "restored", "lost threads", "rehomed pages",
-            "lost M pages",
-        ]
-    if coherent:
-        headers += ["E grants", "silent E->M", "migrations", "reclass"]
+    headers += [h for group_headers, _ in groups for h in group_headers]
+    pad = [""] * (len(headers) - 5)
     rows = []
     for s in services:
-        row = [s.name, "all", s.requests, s.busy_ns / 1e3, s.queue_wait_ns / 1e3]
-        if reliable:
-            mean = s.recovery_wait_ns / s.recoveries / 1e3 if s.recoveries else 0.0
-            row += [s.retransmits, s.recoveries, mean]
-        if failure:
-            row += [
-                s.evacuations, s.restores, s.lost_threads, s.rehomed_pages,
-                s.lost_pages,
-            ]
-        if coherent:
-            row += [
-                s.exclusive_grants, s.silent_upgrades, s.home_migrations,
-                s.reclassifications,
-            ]
-        rows.append(row)
+        rows.append([
+            s.name, "all", s.requests, s.busy_ns / 1e3, s.queue_wait_ns / 1e3,
+            *(v for _, values in groups for v in values(s)),
+        ])
         if len(s.shards) > 1:
             for k in sorted(s.shards):
                 sh = s.shards[k]
-                sub = [s.name, k, sh.requests, sh.busy_ns / 1e3, sh.queue_wait_ns / 1e3]
-                if reliable:
-                    # Retransmit counters are per service, not per shard.
-                    sub += ["", "", ""]
-                if failure:
-                    # Failure accounting is per service, not per shard.
-                    sub += ["", "", "", "", ""]
-                if coherent:
-                    # Protocol telemetry is per service, not per shard.
-                    sub += ["", "", "", ""]
-                rows.append(sub)
+                rows.append([
+                    s.name, k, sh.requests, sh.busy_ns / 1e3,
+                    sh.queue_wait_ns / 1e3, *pad,
+                ])
     return render_table(headers, rows, title="Runtime service load")

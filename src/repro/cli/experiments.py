@@ -1,10 +1,12 @@
 """``repro-experiments``: regenerate the paper's tables and figures.
 
-Examples::
+Each name is an artifact stem from :data:`repro.analysis.registry.ARTIFACTS`
+or a group of them (``fig7``, ``ablations``, ...); ``--out DIR`` writes
+``DIR/<stem>.txt`` plus any ``BENCH_*.json``.  Examples::
 
     repro-experiments fig5
     repro-experiments table1 --out results/
-    repro-experiments all
+    repro-experiments all --out benchmarks/results
 """
 
 from __future__ import annotations
@@ -12,77 +14,9 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.analysis import (
-    run_fig5,
-    run_fig5_crash,
-    run_fig5_heartbeat,
-    run_fig5_sharded,
-    run_fig6,
-    run_fig6_coherence,
-    run_fig7,
-    run_fig8,
-    run_table1,
-)
-from repro.analysis.ablations import (
-    ablate_dsm_service,
-    ablate_forwarding_window,
-    ablate_quantum,
-    ablate_splitting_trigger,
-)
+from repro.analysis.registry import ARTIFACTS, GROUPS, write_report
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
-
-
-def _fig7_both():
-    class _Both:
-        def __init__(self):
-            self.parts = [run_fig7("blackscholes"), run_fig7("swaptions")]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _Both()
-
-
-def _fig8_both():
-    class _Both:
-        def __init__(self):
-            self.parts = [run_fig8("x264"), run_fig8("fluidanimate")]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _Both()
-
-
-def _ablations():
-    class _All:
-        def __init__(self):
-            self.parts = [
-                ablate_forwarding_window(),
-                ablate_splitting_trigger(),
-                ablate_quantum(),
-                ablate_dsm_service(),
-            ]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _All()
-
-
-EXPERIMENTS = {
-    "fig5": run_fig5,
-    "fig5_crash": run_fig5_crash,
-    "fig5_heartbeat": run_fig5_heartbeat,
-    "fig5_sharded": run_fig5_sharded,
-    "fig6": run_fig6,
-    "fig6_coherence": run_fig6_coherence,
-    "table1": run_table1,
-    "fig7": _fig7_both,
-    "fig8": _fig8_both,
-    "ablations": _ablations,
-}
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,26 +26,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "which",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="experiment to run",
+        choices=sorted({*GROUPS, *ARTIFACTS, "all"}),
+        help="artifact or group of artifacts to run",
     )
     p.add_argument("--out", default=None, metavar="DIR",
-                   help="also write each table to DIR/<name>.txt")
+                   help="also write each artifact to DIR/<stem>.txt "
+                        "(and its BENCH_*.json)")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    names = sorted(EXPERIMENTS) if args.which == "all" else [args.which]
-    for name in names:
-        result = EXPERIMENTS[name]()
-        text = result.render()
-        print(text)
+    stems = ARTIFACTS if args.which == "all" else GROUPS.get(args.which, (args.which,))
+    for stem in stems:
+        report = ARTIFACTS[stem].run()
+        print(report.text)
         print()
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"{name}.txt").write_text(text + "\n")
+            write_report(stem, report, Path(args.out))
     return 0
 
 

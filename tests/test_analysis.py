@@ -1,9 +1,17 @@
 """Analysis-layer tests: metrics, reporting, migration, config, baselines."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.analysis.metrics import normalized, speedup, throughput_mbps
-from repro.analysis.reporting import format_value, render_series, render_table
+from repro.analysis.metrics import throughput_mbps
+from repro.analysis.reporting import (
+    Report,
+    format_value,
+    render_rows,
+    render_service_breakdown,
+    render_table,
+)
 from repro.baselines import qemu_config, run_qemu
 from repro.core.config import DQEMUConfig
 from repro.core.migration import build_child_context
@@ -14,20 +22,11 @@ from repro.kernel.syscalls import CloneRequest
 
 
 class TestMetrics:
-    def test_speedup(self):
-        assert speedup(200, 100) == 2.0
-        with pytest.raises(ValueError):
-            speedup(100, 0)
-
     def test_throughput(self):
         # 1 MB in 1 ms = 1000 MB/s
         assert throughput_mbps(1_000_000, 1_000_000) == pytest.approx(1000.0)
         with pytest.raises(ValueError):
             throughput_mbps(1, 0)
-
-    def test_normalized(self):
-        out = normalized({1: 100, 2: 50, 4: 25}, base_key=1)
-        assert out == {1: 1.0, 2: 2.0, 4: 4.0}
 
 
 class TestReporting:
@@ -36,17 +35,101 @@ class TestReporting:
         lines = text.splitlines()
         assert len({line.index("|") for line in lines if "|" in line}) == 1
 
-    def test_series(self):
-        text = render_series("title", [1, 2], {"s1": [1.0, 2.0], "s2": [3.0, 4.0]})
-        assert "title" in text
-        assert "s1" in text and "s2" in text
-
     def test_format_value(self):
         assert format_value(1234.5) == "1,234.5"
         assert format_value(12.345) == "12.35"
         assert format_value(0.5) == "0.500"
         assert format_value("x") == "x"
         assert format_value(0.0) == "0"
+        assert format_value(None) == "-"
+
+    def test_render_rows_through_column_specs(self):
+        rows = [{"name": "a", "ns": 1500}, {"name": "b", "ns": None}]
+        text = render_rows(
+            [("who", "name"), ("us", lambda r: r["ns"] and r["ns"] / 1e3)], rows
+        )
+        assert text == render_table(["who", "us"], [["a", 1.5], ["b", "-"]])
+
+    def test_report_row_lookup(self):
+        rows = [{"wl": "x", "proto": "msi", "t": 1}, {"wl": "x", "proto": "mesi", "t": 2}]
+        report = Report.table("title", rows, {})
+        assert report.text.splitlines()[1].split() == ["wl", "|", "proto", "|", "t"]
+        assert report.row(proto="mesi")["t"] == 2
+        assert report.row(wl="x")["proto"] == "msi"
+        assert report.column("t") == [1, 2]
+        with pytest.raises(KeyError):
+            report.row(proto="moesi")
+
+
+BASE_HEADERS = ["service", "shard", "requests", "busy (us)", "queue-wait (us)"]
+#: Each optional column group of the service breakdown, and the counters
+#: that make it appear.
+GROUPS = {
+    "reliability": (
+        ["retransmits", "recovered", "mean recovery (us)"],
+        ["retransmits", "recoveries"],
+    ),
+    "failure": (
+        ["evacuated", "restored", "lost threads", "rehomed pages", "lost M pages"],
+        ["evacuations", "restores", "lost_threads", "rehomed_pages", "lost_pages"],
+    ),
+    "coherence": (
+        ["E grants", "silent E->M", "migrations", "reclass"],
+        ["exclusive_grants", "silent_upgrades", "home_migrations", "reclassifications"],
+    ),
+}
+
+
+def _breakdown(*services):
+    from repro.core.stats import ServiceStats
+
+    stats = {}
+    for i, counters in enumerate(services):
+        s = ServiceStats(name=f"svc{i}", requests=10 + i, busy_ns=1000 * (i + 1))
+        for k, v in counters.items():
+            setattr(s, k, v)
+        stats[s.name] = s
+    text = render_service_breakdown(SimpleNamespace(services=stats))
+    lines = text.splitlines()
+    headers = [h.strip() for h in lines[1].split(" | ")]
+    return headers, [[c.strip() for c in line.split(" | ")] for line in lines[3:]]
+
+
+class TestServiceBreakdownColumns:
+    def test_default_run_has_no_optional_columns(self):
+        headers, rows = _breakdown({}, {"queue_wait_ns": 5})
+        assert headers == BASE_HEADERS
+        assert all(len(row) == len(BASE_HEADERS) for row in rows)
+
+    @pytest.mark.parametrize(
+        "group,counter",
+        [(g, c) for g, (_, counters) in GROUPS.items() for c in counters],
+    )
+    def test_group_appears_only_when_a_counter_is_nonzero(self, group, counter):
+        headers, rows = _breakdown({}, {counter: 3})
+        assert headers == BASE_HEADERS + GROUPS[group][0]
+        assert all(len(row) == len(headers) for row in rows)
+
+    def test_groups_keep_their_order_and_shard_rows_stay_padded(self):
+        from repro.core.stats import ShardLoadStats
+
+        headers, rows = _breakdown(
+            {"home_migrations": 2,
+             "shards": {0: ShardLoadStats(0, 4, 400, 7), 1: ShardLoadStats(1, 6, 600, 9)}},
+            {"retransmits": 1, "recoveries": 1, "recovery_wait_ns": 4000},
+        )
+        assert headers == (
+            BASE_HEADERS + GROUPS["reliability"][0] + GROUPS["coherence"][0]
+        )
+        assert all(len(row) == len(headers) for row in rows)
+        shard_rows = [row for row in rows if row[1] != "all"]
+        assert [row[1] for row in shard_rows] == ["0", "1"]
+        assert all(row[:3] == ["svc0", row[1], str(4 + 2 * int(row[1]))]
+                   for row in shard_rows)
+        assert all(cell == "" for row in shard_rows for cell in row[5:])
+        svc1 = next(row for row in rows if row[0] == "svc1")
+        assert svc1[5:8] == ["1", "1", "4.000"]
+        assert svc1[8:] == ["0", "0", "0", "0"]
 
 
 class TestMigration:

@@ -1,7 +1,12 @@
 """CLI tests (invoking main() in-process)."""
 
+from functools import partial
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import Report, run_fig5
+from repro.analysis.registry import ARTIFACTS, Artifact
 from repro.cli import asm as asm_cli
 from repro.cli import experiments as exp_cli
 from repro.cli import run as run_cli
@@ -120,23 +125,46 @@ class TestAsmCli:
         assert capsys.readouterr().out == ""
 
 
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
 class TestExperimentsCli:
     def test_registry_covers_every_artifact(self):
-        assert set(exp_cli.EXPERIMENTS) == {
-            "fig5", "fig5_crash", "fig5_heartbeat", "fig5_sharded", "fig6",
-            "fig6_coherence", "table1", "fig7", "fig8", "ablations",
-        }
+        committed = {p.stem for p in RESULTS_DIR.glob("*.txt")}
+        committed |= {p.stem for p in RESULTS_DIR.glob("BENCH_*.json")}
+        assert len(committed) == 25
+        produced = set(ARTIFACTS)
+        produced |= {a.bench for a in ARTIFACTS.values() if a.bench}
+        assert produced == committed
 
     def test_small_fig5_run(self, capsys, monkeypatch, tmp_path):
         # shrink fig5 so the CLI test is quick
-        from repro.analysis import experiments as harness
-
         monkeypatch.setitem(
-            exp_cli.EXPERIMENTS, "fig5",
-            lambda: harness.run_fig5(n_threads=4, terms=50, reps=1,
-                                     slave_counts=(1, 2)),
+            ARTIFACTS, "fig5_scalability",
+            Artifact(partial(run_fig5, n_threads=4, terms=50, reps=1,
+                             slave_counts=(1, 2))),
         )
         assert exp_cli.main(["fig5", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Fig. 5" in out
-        assert (tmp_path / "fig5.txt").exists()
+        # The file is named after the committed artifact, not the CLI name.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig5_scalability.txt"]
+        assert (tmp_path / "fig5_scalability.txt").read_text().startswith("Fig. 5")
+
+    def test_group_writes_each_artifact_and_its_bench_json(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def fake(stem):
+            return lambda: Report(f"table {stem}", [{"x": 1}], {}, {"stem": stem})
+
+        monkeypatch.setitem(ARTIFACTS, "fig7_blackscholes",
+                            Artifact(fake("fig7_blackscholes")))
+        monkeypatch.setitem(ARTIFACTS, "fig7_swaptions",
+                            Artifact(fake("fig7_swaptions"), "BENCH_fake"))
+        assert exp_cli.main(["fig7", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_fake.json", "fig7_blackscholes.txt", "fig7_swaptions.txt",
+        ]
+        assert (tmp_path / "fig7_swaptions.txt").read_text() == "table fig7_swaptions\n"
+        assert '"stem": "fig7_swaptions"' in (tmp_path / "BENCH_fake.json").read_text()
+        assert "table fig7_blackscholes" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Edge-path integration tests: kernel access through split pages,
 interpreter-mode clusters, shutdown with parked threads."""
 
-from repro import Cluster, DQEMUConfig, assemble
+from repro import Cluster, DQEMUConfig
 from repro.kernel.sysnums import SYS
 from repro.workloads.common import emit_fanout_main, workload_builder
 

@@ -16,7 +16,7 @@ from repro.errors import ConfigError, NetworkError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, clone_frame, delay, drop, duplicate, reorder
 from repro.net.messages import Ack, PageData, PageRequest, SyscallReply
-from repro.net.rpc import RpcChannel, RpcTimeout
+from repro.net.rpc import RpcTimeout
 from repro.sim import Simulator
 from repro.workloads import mutex_bench
 
