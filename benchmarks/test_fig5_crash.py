@@ -130,7 +130,6 @@ def test_crash_smoke_matrix():
     config = cfg(
         fault_plan=plan,
         evacuation_enabled=True,
-        health_aware_placement=True,
         **ckpt_kw,
     )
     if heartbeats:

@@ -97,7 +97,6 @@ def test_heartbeat_smoke_matrix():
             rpc_backoff_base_ns=10_000,
             rpc_backoff_jitter_ns=2_000,
             evacuation_enabled=True,
-            health_aware_placement=True,
             **kw,
         ).time_scaled(100.0)
 

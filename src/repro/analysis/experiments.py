@@ -397,7 +397,7 @@ def run_fig5_crash(
     params = dict(locals(), checkpoint_fracs=tuple(sorted(checkpoint_fracs)))
     prog = blackscholes.build(n_threads=n_threads, n_options=n_options, reps=reps)
     reliable = _retry_budget(timeout_ns, retries, backoff_base_ns, backoff_jitter_ns)
-    evac = dict(evacuation_enabled=True, health_aware_placement=True, **reliable)
+    evac = dict(evacuation_enabled=True, **reliable)
     keys = ("virtual_ns", "evacuated_threads", "lost_threads", "rehomed_pages",
             "lost_pages", "detection_ns", "recovery_ns", "restored_threads",
             "mean_rollback_ns", "checkpoints_taken", "checkpoint_bytes")
@@ -502,7 +502,6 @@ def run_fig5_heartbeat(
     prog = pi_taylor.build(n_threads=n_threads, terms=terms, reps=reps)
     reliable = dict(
         evacuation_enabled=True,
-        health_aware_placement=True,
         **_retry_budget(timeout_ns, retries, backoff_base_ns, backoff_jitter_ns),
     )
     keys = ("virtual_ns", "detection_ns", "evidence", "lost_threads",
@@ -513,14 +512,13 @@ def run_fig5_heartbeat(
                  hb_interval: Optional[int] = None,
                  **cfg_kw) -> Optional[RunResult]:
         cfg = DQEMUConfig(**cfg_kw).time_scaled(comm_scale)
-        armed = hb_interval is not None
-        if armed:
+        if hb_interval is not None:
             cfg = cfg.with_options(heartbeat_interval_ns=hb_interval)
         return _fault_row(
             rows, keys, name, n_slaves, program, cfg, victim, fault_ns,
             heartbeat_interval_ns=hb_interval,
-            heartbeat_lease_ns=cfg.effective_heartbeat_lease_ns if armed else None,
-            detection_bound_ns=cfg.heartbeat_detection_bound_ns() if armed else None,
+            heartbeat_lease_ns=cfg.heartbeat_lease_span_ns(),
+            detection_bound_ns=cfg.heartbeat_detection_bound_ns(),
         )
 
     clean = scenario("quiet: no faults", prog, **reliable)

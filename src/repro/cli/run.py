@@ -59,39 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "timeout (default: off)")
     p.add_argument("--evacuation", action="store_true",
                    help="arm the failure domain: crashes evacuate/restore "
-                        "threads instead of aborting the run (requires "
-                        "--rpc-timeout-ns)")
+                        "threads instead of aborting the run, and placement "
+                        "skips unhealthy nodes (requires --rpc-timeout-ns)")
     p.add_argument("--checkpoint-interval-ns", type=int, default=None,
                    metavar="NS",
                    help="snapshot each running thread's context every NS of "
                         "virtual time for crash restore (requires "
                         "--evacuation; default: off)")
-    p.add_argument("--checkpoint-target", choices=("master", "peer"),
-                   default="master",
-                   help="where register snapshots live: the master (default) "
-                        "or a ring-buddy peer (Modified pages always flush "
-                        "home)")
     p.add_argument("--heartbeat-interval-ns", type=int, default=None,
                    metavar="NS",
                    help="send a lease-renewal heartbeat from every slave to "
                         "the master each NS of virtual time, bounding crash "
-                        "detection even on nodes nobody calls (requires "
-                        "--evacuation; default: off)")
-    p.add_argument("--heartbeat-lease-ns", type=int, default=None,
-                   metavar="NS",
-                   help="silence the master tolerates before a peer accrues "
-                        "missed-lease evidence (>= 2x the interval; default "
-                        "4x the interval)")
-    p.add_argument("--checkpoint-lease-factor", type=float, default=None,
-                   metavar="K",
-                   help="derive the checkpoint interval as K x the heartbeat "
-                        "detector's worst-case detection latency instead of "
-                        "an explicit --checkpoint-interval-ns")
-    p.add_argument("--rebalance-threshold-ns", type=int, default=None,
-                   metavar="NS",
-                   help="queue-wait threshold beyond which a node sheds its "
-                        "hottest thread to an underloaded peer (requires "
-                        "--evacuation; default: off)")
+                        "detection even on nodes nobody calls; the lease is "
+                        "4x the interval (requires --evacuation; default: "
+                        "off)")
     p.add_argument("--superblock-threshold", type=int, default=0, metavar="N",
                    help="promote a block into a trace superblock after N "
                         "executions (default 0: disabled)")
@@ -156,11 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         rpc_timeout_ns=args.rpc_timeout_ns,
         evacuation_enabled=args.evacuation,
         checkpoint_interval_ns=args.checkpoint_interval_ns,
-        checkpoint_target=args.checkpoint_target,
         heartbeat_interval_ns=args.heartbeat_interval_ns,
-        heartbeat_lease_ns=args.heartbeat_lease_ns,
-        checkpoint_lease_factor=args.checkpoint_lease_factor,
-        rebalance_threshold_ns=args.rebalance_threshold_ns,
         pure_qemu=args.qemu,
         max_concurrent_jobs=args.max_concurrent_jobs,
         admission_queue_depth=args.admission_queue_depth,

@@ -72,7 +72,7 @@ class RunResult:
     failures: Optional[FailureStats] = None
     placements: dict[int, int] = field(default_factory=dict)
     #: Placement decisions the health-aware placer diverted, keyed
-    #: "n<node>:<reason>" (empty unless health_aware_placement skipped any).
+    #: "n<node>:<reason>" (empty unless the health view skipped any).
     placement_skips: dict[str, int] = field(default_factory=dict)
     files: dict[str, bytes] = field(default_factory=dict)
     trace: Optional["Tracer"] = None  # set when the cluster ran with trace=True
@@ -137,12 +137,17 @@ class _Fleet:
             down_after=cfg.health_down_after,
         )
         self.fabric.health = self.health
-        drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
-        need_view = (
-            cfg.evacuation_enabled or cfg.health_aware_placement or bool(drains)
-        )
+        #: Fault schedules of the fleet's plan (empty without one).
+        plan = cfg.fault_plan
+        self.crashes = plan.crashes if plan is not None else ()
+        self.drains = plan.drains if plan is not None else ()
+        #: The latched cluster health view, kept iff a node may leave the
+        #: fleet (evacuation armed or a drain scheduled).  Placement, the
+        #: master's services and the failure domain all consult this one
+        #: view.
         self.view: Optional[ClusterHealthView] = (
-            ClusterHealthView(tracker=self.health) if need_view else None
+            ClusterHealthView(tracker=self.health)
+            if cfg.evacuation_enabled or self.drains else None
         )
         cluster.tracer.bind_clock(lambda: self.sim.now)
         self.node_ids = list(range(cluster.n_slaves + 1))
@@ -160,10 +165,6 @@ class _Fleet:
             # identical.
             for node in self.nodes.values():
                 node.endpoint.rpc.enable_reply_cache()
-        # Topology handout: peer-mode checkpoint buddies are computed from
-        # the node-id ring (pure arithmetic, no wire traffic).
-        for node in self.nodes.values():
-            node.peer_ids = list(self.node_ids)
         #: Tenant-keyed read-only views over each job's directory shards.
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
@@ -332,13 +333,10 @@ class Cluster:
         for path, data in job.files.items():
             state.vfs.add_file(path, data)
 
-        candidates = (
-            fleet.node_ids[1:]
-            if (self.n_slaves and not cfg.schedule_on_master) else [0]
-        )
+        candidates = fleet.node_ids[1:] if self.n_slaves else [0]
         placer = ThreadPlacer(
             cfg.scheduler, candidates,
-            health=fleet.view if cfg.health_aware_placement else None,
+            health=fleet.view,
             fallback=0,
             # Stagger each tenant's round-robin cursor so concurrent jobs
             # interleave across the slaves instead of piling onto node 1.
@@ -357,13 +355,9 @@ class Cluster:
             for page in home.pages():
                 bundle.pagestore.install(page, home.snapshot(page), MSIState.MODIFIED)
         else:
-            drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
-            master_view = (
-                fleet.view if (cfg.evacuation_enabled or drains) else None
-            )
             master = MasterRuntime(
                 sim, cfg, fleet.nodes[0], fleet.node_ids, home, state, placer,
-                stats, done, failure_view=master_view, tenant=job.tenant,
+                stats, done, failure_view=fleet.view, tenant=job.tenant,
             )
             fleet.directories.add_tenant(
                 job.tenant,
@@ -374,8 +368,6 @@ class Cluster:
         # -- failure-domain wiring (docs/PROTOCOL.md "Failure domains") --------
         failure_domain = master.failure_domain if master is not None else None
         if first:
-            crashes = cfg.fault_plan.crashes if cfg.fault_plan is not None else ()
-            drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
             if cfg.evacuation_enabled:
                 if failure_domain is None:
                     raise ConfigError("evacuation_enabled requires a master runtime")
@@ -383,13 +375,13 @@ class Cluster:
                 # cluster-level node failure: latch the view, evict the
                 # directory, recover the threads.
                 fleet.health.on_down.append(failure_domain.node_failed)
-            for node_id, at_ns in crashes:
+            for node_id, at_ns in fleet.crashes:
                 if node_id not in fleet.nodes or node_id == 0:
                     raise ConfigError(f"cannot crash node {node_id}")
                 sim.timeout(at_ns).add_callback(
                     lambda _e, n=node_id: fleet.nodes[n].crash()
                 )
-            for node_id, at_ns in drains:
+            for node_id, at_ns in fleet.drains:
                 if node_id not in fleet.nodes or node_id == 0:
                     raise ConfigError(f"cannot drain node {node_id}")
                 if failure_domain is None:

@@ -122,7 +122,6 @@ class DQEMUConfig:
 
     # -- scheduling (§5.3) ----------------------------------------------------
     scheduler: str = "round_robin"  # "round_robin" | "hint"
-    schedule_on_master: bool = False  # workers normally go to slave nodes
 
     # -- robustness / fault injection (docs/PROTOCOL.md "Failure modes") -------
     # Per-request timeout for every service-issued RPC.  None (the default)
@@ -152,30 +151,26 @@ class DQEMUConfig:
     # whole retry budget demotes the peer to down regardless.
     health_suspect_after: int = 2
     health_down_after: int = 5
-    # Health-aware placement (§5.3 + failure domains): the ThreadPlacer
-    # consults the cluster health view, skipping down/failed/draining
-    # candidates and deprioritizing suspect ones.  Off by default — the
-    # paper's scheduler is health-blind, and default runs must stay
-    # bit-identical.
-    health_aware_placement: bool = False
     # Failure-domain runtime: arm the master-side failure detector and the
     # FailureDomainService (thread evacuation, directory re-homing, lost
     # thread/page accounting).  Requires rpc_timeout_ns — crashes are
-    # detected by timeout expiry.
+    # detected by timeout expiry.  Armed (or with a drain scheduled), the
+    # fleet keeps a health view and placement consults it: the ThreadPlacer
+    # skips down/failed/draining candidates and deprioritizes suspect ones.
+    # Off by default — the paper's scheduler is health-blind.
     evacuation_enabled: bool = False
     # Checkpoint/restore (docs/PROTOCOL.md "Checkpoint/restore"): every
     # checkpoint_interval_ns of virtual time each slave snapshots a running
     # thread's register context at a quantum boundary — together with a
     # write-back of the tenant's Modified pages, so the snapshot is a
     # consistent cut under every coherence protocol — and ships it to the
-    # master (checkpoint_target="master") or to a buddy peer with the page
-    # flush still going home ("peer").  On a crash, threads with a live
-    # checkpoint are rolled back and re-placed instead of reaped.  None (the
+    # master, which holds every snapshot (protocol authority stays on the
+    # master, paper §4).  On a crash, threads with a live checkpoint are
+    # rolled back and re-placed instead of reaped.  None (the
     # default) sends nothing: wire traffic and every committed table stay
     # bit-identical.  Requires evacuation_enabled (restore rides the failure
     # domain's recovery path).
     checkpoint_interval_ns: Optional[int] = None
-    checkpoint_target: str = "master"  # "master" | "peer"
     # Master-side cost of landing one checkpoint frame (store the context,
     # before per-page install work under the shard locks).
     checkpoint_service_ns: int = 4_000
@@ -187,31 +182,13 @@ class DQEMUConfig:
     # thresholds as RPC timeouts (up -> suspect -> down) — so a crash on a
     # *quiet victim*, a node nobody happens to call, is detected within a
     # bounded window (heartbeat_detection_bound_ns) instead of hanging the
-    # join forever.  None (the default) sends nothing: wire traffic and
-    # every committed table stay bit-identical.  Requires
+    # join forever.  The lease — the silence tolerated before a peer
+    # accrues missed-lease evidence — is always four renewal intervals
+    # (heartbeat_lease_span_ns).  None (the default) sends nothing: wire
+    # traffic and every committed table stay bit-identical.  Requires
     # evacuation_enabled: lease expiry drives the failure domain's recovery
     # path exactly as an RPC-detected death does.
     heartbeat_interval_ns: Optional[int] = None
-    # Lease duration: how much silence the master tolerates before a peer
-    # starts accruing missed-lease evidence.  Must cover at least two
-    # renewal intervals, so one delayed or dropped frame can never
-    # false-positive a healthy node.  None derives 4x the interval.
-    heartbeat_lease_ns: Optional[int] = None
-    # Adaptive checkpoint cadence (ROADMAP, PR 9 leftover): derive the
-    # checkpoint interval from the heartbeat detector's worst-case latency
-    # (interval = factor * heartbeat_detection_bound_ns) instead of
-    # hand-tuning checkpoint_interval_ns.  A restored thread re-executes at
-    # most one detection span plus one checkpoint interval, so keying the
-    # cadence on the bound makes rollback distance track the detector's
-    # guarantee.  Mutually exclusive with an explicit
-    # checkpoint_interval_ns; requires heartbeat_interval_ns.
-    checkpoint_lease_factor: Optional[float] = None
-    # Drain-driven load rebalancing: when a thread's single-stint queue wait
-    # on a slave crosses this threshold, the node cooperatively evacuates its
-    # hottest runnable thread to an underloaded node via the EvacuateThread
-    # path (reason="rebalance").  None disables.  Requires evacuation_enabled
-    # (the master-side evacuation handler is the failure domain's).
-    rebalance_threshold_ns: Optional[int] = None
 
     # -- multi-tenant job admission (docs/PROTOCOL.md "Multi-tenant jobs") ----
     # Jobs submitted beyond max_concurrent_jobs wait in the admission queue;
@@ -287,11 +264,6 @@ class DQEMUConfig:
             )
         if self.checkpoint_interval_ns is not None and self.checkpoint_interval_ns <= 0:
             raise ConfigError("checkpoint_interval_ns must be positive (or None)")
-        if self.checkpoint_target not in ("master", "peer"):
-            raise ConfigError(
-                f"unknown checkpoint target {self.checkpoint_target!r} "
-                "(choose master or peer)"
-            )
         if self.checkpoint_service_ns < 0:
             raise ConfigError("checkpoint_service_ns must be >= 0")
         if self.checkpoint_interval_ns is not None and not self.evacuation_enabled:
@@ -305,41 +277,6 @@ class DQEMUConfig:
             raise ConfigError(
                 "heartbeat_interval_ns needs evacuation_enabled: lease expiry "
                 "drives the failure domain's recovery path"
-            )
-        if self.heartbeat_lease_ns is not None:
-            if self.heartbeat_interval_ns is None:
-                raise ConfigError(
-                    "heartbeat_lease_ns needs heartbeat_interval_ns: a lease "
-                    "is renewed by heartbeat frames"
-                )
-            if self.heartbeat_lease_ns < 2 * self.heartbeat_interval_ns:
-                raise ConfigError(
-                    "heartbeat_lease_ns must cover at least two renewal "
-                    "intervals: a single delayed frame must never "
-                    "false-positive a healthy node"
-                )
-        if self.checkpoint_lease_factor is not None:
-            if self.checkpoint_lease_factor <= 0:
-                raise ConfigError(
-                    "checkpoint_lease_factor must be positive (or None)"
-                )
-            if self.heartbeat_interval_ns is None:
-                raise ConfigError(
-                    "checkpoint_lease_factor needs heartbeat_interval_ns: the "
-                    "checkpoint cadence derives from the detection bound"
-                )
-            if self.checkpoint_interval_ns is not None:
-                raise ConfigError(
-                    "checkpoint_lease_factor and checkpoint_interval_ns are "
-                    "mutually exclusive: use the derived or the explicit "
-                    "cadence, not both"
-                )
-        if self.rebalance_threshold_ns is not None and self.rebalance_threshold_ns <= 0:
-            raise ConfigError("rebalance_threshold_ns must be positive (or None)")
-        if self.rebalance_threshold_ns is not None and not self.evacuation_enabled:
-            raise ConfigError(
-                "rebalance_threshold_ns needs evacuation_enabled: rebalancing "
-                "reuses the failure domain's evacuation handler"
             )
         for nid, cores in (self.node_cores or {}).items():
             if cores < 1:
@@ -367,17 +304,16 @@ class DQEMUConfig:
     def effective_cpi_dbt(self) -> float:
         return self.cpi_dbt * self.qemu_cpi_discount if self.pure_qemu else self.cpi_dbt
 
-    @property
-    def effective_heartbeat_lease_ns(self) -> Optional[int]:
-        """The armed lease duration: explicit, or 4x the renewal interval.
+    def heartbeat_lease_span_ns(self) -> Optional[int]:
+        """The armed lease duration: 4x the renewal interval (None with
+        heartbeats off).
 
         Four intervals tolerate up to three consecutive lost-or-late
         renewals before the first missed-lease evidence accrues, keeping
         the detector quiet under transient loss while still bounding
-        detection at a small multiple of the interval.
+        detection at a small multiple of the interval.  Anything under two
+        would let one delayed renewal false-positive a healthy node.
         """
-        if self.heartbeat_lease_ns is not None:
-            return self.heartbeat_lease_ns
         if self.heartbeat_interval_ns is None:
             return None
         return 4 * self.heartbeat_interval_ns
@@ -394,23 +330,9 @@ class DQEMUConfig:
         if self.heartbeat_interval_ns is None:
             return None
         return (
-            self.effective_heartbeat_lease_ns
+            self.heartbeat_lease_span_ns()
             + (self.health_down_after + 1) * self.heartbeat_interval_ns
             + self.one_way_latency_ns
-        )
-
-    @property
-    def effective_checkpoint_interval_ns(self) -> Optional[int]:
-        """The armed checkpoint cadence: explicit ``checkpoint_interval_ns``,
-        or ``checkpoint_lease_factor`` times the heartbeat detector's
-        worst-case detection latency (the two are mutually exclusive)."""
-        if self.checkpoint_interval_ns is not None:
-            return self.checkpoint_interval_ns
-        if self.checkpoint_lease_factor is None:
-            return None
-        return max(
-            1,
-            int(self.checkpoint_lease_factor * self.heartbeat_detection_bound_ns()),
         )
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
@@ -474,16 +396,9 @@ class DQEMUConfig:
             None if self.heartbeat_interval_ns is None
             else max(1, int(self.heartbeat_interval_ns / k))
         )
-        # Clamp the scaled lease so the two-interval invariant survives
-        # integer truncation at extreme scale factors.
-        hb_lease = (
-            None if self.heartbeat_lease_ns is None
-            else max(2 * hb_interval, int(self.heartbeat_lease_ns / k))
-        )
         return replace(
             self,
             heartbeat_interval_ns=hb_interval,
-            heartbeat_lease_ns=hb_lease,
             bandwidth_bps=self.bandwidth_bps * k,
             one_way_latency_ns=max(1, int(self.one_way_latency_ns / k)),
             loopback_latency_ns=max(1, int(self.loopback_latency_ns / k)),

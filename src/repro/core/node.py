@@ -38,7 +38,6 @@ from repro.core.llsc import LLSCTable
 from repro.core.services.base import Dispatcher, attribute_timeouts
 from repro.core.services.heartbeat import NodeHeartbeatService
 from repro.core.services.nodeside import (
-    NodeCheckpointService,
     NodeCoherenceService,
     NodeControlService,
     NodeSplitTableService,
@@ -59,14 +58,13 @@ from repro.net.endpoint import Endpoint
 from repro.net.fabric import Fabric
 from repro.net.messages import (
     Checkpoint,
-    CheckpointFlush,
     DrainComplete,
     EvacuateThread,
     MergeRequest,
     PageRequest,
-    PeerCheckpoint,
     SyscallRequest,
 )
+from repro.net.rpc import RpcTimeout
 from repro.core.scheduler import FairRunQueue
 from repro.sim.engine import Simulator
 
@@ -76,6 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NodeRuntime", "NodeTenant", "COMMAND_KINDS"]
 
 A0, A7 = 10, 17
+
+#: Stats-only service name for slave-side checkpoint shipping (like
+#: "node.syscall": no dispatcher serves it, it carries retransmit and
+#: timeout attribution for the Checkpoint RPCs).
+CHECKPOINT_SERVICE = "node.checkpoint"
 
 #: Inbound kinds handled by a node's communicator (vs. master managers),
 #: derived from the node-side services' routing claims.
@@ -125,10 +128,9 @@ class NodeTenant:
             NodeControlService.name,
         ):
             run_stats.service(name)
-        if config.effective_checkpoint_interval_ns is not None:
-            # Mirrors the conditional dispatcher registration: the row
-            # exists exactly when the service does.
-            run_stats.service(NodeCheckpointService.name)
+        if config.checkpoint_interval_ns is not None:
+            # The checkpoint sender's row exists exactly when it is armed.
+            run_stats.service(CHECKPOINT_SERVICE)
         if (
             config.heartbeat_interval_ns is not None
             and node.node_id != node.master_id
@@ -146,8 +148,8 @@ class NodeTenant:
             self.merge_retry_stats = None
             self.syscall_retry_stats = None
             self.evac_retry_stats = None
-        if node.rpc_retry is not None and config.effective_checkpoint_interval_ns is not None:
-            self.ckpt_retry_stats = run_stats.service(NodeCheckpointService.name)
+        if node.rpc_retry is not None and config.checkpoint_interval_ns is not None:
+            self.ckpt_retry_stats = run_stats.service(CHECKPOINT_SERVICE)
         else:
             self.ckpt_retry_stats = None
         self.pagestore = PageStore()
@@ -217,15 +219,6 @@ class NodeRuntime:
             NodeControlService(self),
         ):
             self.dispatcher.register(service)
-        #: Buddy-held register snapshots (peer-mode checkpointing):
-        #: (source node, tenant, tid) -> (taken_ns, context).
-        self.peer_checkpoints: dict[tuple[int, int, int], tuple] = {}
-        if config.effective_checkpoint_interval_ns is not None:
-            # Must register before the router captures the command-kind set
-            # below, or peer_checkpoint/fetch_checkpoints frames would route
-            # to a master manager.  Conditional so default runs create no
-            # "node.checkpoint" stats row and stay bit-identical.
-            self.dispatcher.register(NodeCheckpointService(self))
         #: Lease-renewal sender (docs/PROTOCOL.md "Failure detection"):
         #: built only when heartbeats are armed, and only on slaves — the
         #: master never renews a lease with itself.
@@ -239,10 +232,11 @@ class NodeRuntime:
             else ("mgr", msg.tenant, msg.src, _master_shard_key(msg, nshards))
         )
         # Loss recovery for node-issued RPCs (page requests, merge requests,
-        # delegated syscalls).  Retransmit traffic is attributed to the
-        # node-side service name that owns the protocol plane; the stats
-        # bindings exist only when retries are armed, so default runs create
-        # no extra RunStats rows ("node.syscall" is not a registered service).
+        # delegated syscalls, checkpoints).  Retransmit traffic is attributed
+        # to the node-side service name that owns the protocol plane; the
+        # stats bindings exist only when retries are armed, so default runs
+        # create no extra RunStats rows ("node.syscall" and "node.checkpoint"
+        # are not registered services).
         self.rpc_retry = config.retry_policy()
         self.n_cores = config.cores_of(node_id)
         self.ghz = config.ghz_of(node_id)
@@ -260,13 +254,6 @@ class NodeRuntime:
         self.draining = False
         self._evacuating = 0  # evacuation RPCs still in flight
         self._drain_sent = False
-        #: Cluster node ids (set by the fleet once the topology exists);
-        #: checkpoint buddies are computed from it.  A bare node only knows
-        #: itself — peer-mode checkpoints then fall back to the master.
-        self.peer_ids: list[int] = [node_id]
-        #: Virtual time of the last rebalance this node triggered
-        #: (cooldown: at most one per rebalance_threshold_ns window).
-        self._last_rebalance_ns = 0
         #: Set for the pure-QEMU baseline: syscalls short-circuit locally.
         self.local_kernel: Optional["LocalKernel"] = None
 
@@ -401,35 +388,32 @@ class NodeRuntime:
 
     # -- drain evacuation (docs/PROTOCOL.md "Failure domains") -----------------
 
-    def _evacuate(self, th: GuestThread, reason: str = "drain") -> None:
+    def _evacuate(self, th: GuestThread) -> None:
         """Hand a thread back to the master for re-placement elsewhere.
 
         Locally this looks exactly like a live migration away (same
         bookkeeping as the ``reply.migrated`` branch of the syscall
         handler); the context travels in an ``EvacuateThread`` request and
         the master's failure-domain service re-spawns it on a usable node.
-        ``reason`` distinguishes a drain (the node is emptying itself) from
-        a load rebalance (the node is shedding its hottest thread).
         """
         cpu = th.cpu
         bundle = self.tenants[th.tenant]
         th.state = GuestThreadState.EXITED
         cpu.halted = True
         bundle.threads.pop(cpu.tid, None)
-        self.trace.emit("thread", self.node_id, f"evacuating ({reason})", tid=cpu.tid)
+        self.trace.emit("thread", self.node_id, "evacuating (drain)", tid=cpu.tid)
         self._evacuating += 1
         self.sim.spawn(
-            self._guarded(self._evacuate_rpc(cpu, bundle, reason)),
+            self._guarded(self._evacuate_rpc(cpu, bundle)),
             name=f"evac@{self.node_id}",
         )
 
-    def _evacuate_rpc(self, cpu: CPUState, bundle: NodeTenant, reason: str):
+    def _evacuate_rpc(self, cpu: CPUState, bundle: NodeTenant):
         with attribute_timeouts(NodeControlService.name):
             yield self.endpoint.request(
                 self.master_id,
                 EvacuateThread(
                     tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant,
-                    reason=reason,
                 ),
                 timeout_ns=self.config.rpc_timeout_ns,
                 retry=self.rpc_retry, stats=bundle.evac_retry_stats,
@@ -468,13 +452,13 @@ class NodeRuntime:
                     timeout_ns=self.config.rpc_timeout_ns,
                     retry=self.rpc_retry, stats=self.tenants[0].evac_retry_stats,
                 )
-        else:  # pragma: no cover - drains require armed timeouts in practice
+        else:
             self.endpoint.send(self.master_id, done)
 
     # -- checkpointing (docs/PROTOCOL.md "Checkpoint/restore") ------------------
 
     def _checkpoint_due(self, th: GuestThread) -> bool:
-        interval = self.config.effective_checkpoint_interval_ns
+        interval = self.config.checkpoint_interval_ns
         return (
             interval is not None
             and self.node_id != self.master_id  # the master cannot crash
@@ -518,56 +502,22 @@ class NodeRuntime:
 
     def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
                         bundle: NodeTenant):
-        from repro.core.services.checkpoint import checkpoint_buddy
-
-        from repro.net.rpc import RpcTimeout
-
         proto = bundle.run_stats.protocol
-        buddy = self.master_id
-        if self.config.checkpoint_target == "peer":
-            buddy = checkpoint_buddy(self.node_id, self.peer_ids, self.master_id)
+        msg = Checkpoint(
+            tid=tid, taken_ns=taken_ns, context=context, pages=pages,
+            tenant=bundle.tenant,
+        )
+        proto.checkpoint_bytes += msg.size_bytes()
         try:
-            with attribute_timeouts(NodeCheckpointService.name):
-                if buddy != self.master_id:
-                    # Peer mode: register context to the ring buddy, Modified
-                    # pages still flush home — the master stays page
-                    # authority.
-                    ctx_msg = PeerCheckpoint(
-                        tid=tid, taken_ns=taken_ns, context=context,
-                        tenant=bundle.tenant,
-                    )
-                    flush = CheckpointFlush(
-                        taken_ns=taken_ns, pages=pages, tenant=bundle.tenant,
-                    )
-                    proto.checkpoint_bytes += (
-                        ctx_msg.size_bytes() + flush.size_bytes()
-                    )
-                    yield self.endpoint.request(
-                        buddy, ctx_msg,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
-                    yield self.endpoint.request(
-                        self.master_id, flush,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
-                else:
-                    # Master mode (or a degenerate single-slave peer ring):
-                    # context and pages travel in one frame.
-                    msg = Checkpoint(
-                        tid=tid, taken_ns=taken_ns, context=context,
-                        pages=pages, tenant=bundle.tenant,
-                    )
-                    proto.checkpoint_bytes += msg.size_bytes()
-                    yield self.endpoint.request(
-                        self.master_id, msg,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
+            with attribute_timeouts(CHECKPOINT_SERVICE):
+                yield self.endpoint.request(
+                    self.master_id, msg,
+                    timeout_ns=self.config.rpc_timeout_ns,
+                    retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
+                )
         except RpcTimeout:
-            # The holder stopped answering (a dead buddy, or the master is
-            # drowning) — a checkpoint is best-effort by design: drop this
+            # The master stopped answering (drowning, or partitioned from
+            # us) — a checkpoint is best-effort by design: drop this
             # snapshot and carry on; the next interval tries again.
             proto.checkpoints_discarded += 1
             self.trace.emit(
@@ -589,48 +539,9 @@ class NodeRuntime:
                 # running another quantum here.
                 self._evacuate(th)
                 continue
-            if th.evac_requested:
-                # The rebalancer picked this thread while it sat queued:
-                # ship it to an underloaded node instead of running it.
-                th.evac_requested = False
-                self._evacuate(th, reason="rebalance")
-                continue
-            waited = self.sim.now - th.enqueued_at
-            th.stats.runnable_wait_ns += waited
-            if self._should_rebalance(waited):
-                victim = self._rebalance_victim(th)
-                self._last_rebalance_ns = self.sim.now
-                self.tenants[victim.tenant].run_stats.protocol \
-                    .rebalance_evacuations += 1
-                if victim is th:
-                    self._evacuate(th, reason="rebalance")
-                    continue
-                victim.evac_requested = True
+            th.stats.runnable_wait_ns += self.sim.now - th.enqueued_at
             th.state = GuestThreadState.RUNNING
             yield from self._run_turn(th)
-
-    def _should_rebalance(self, waited_ns: int) -> bool:
-        """A queue-wait stint crossed the threshold on a healthy slave, and
-        the per-node cooldown (one shed per threshold window) has passed."""
-        threshold = self.config.rebalance_threshold_ns
-        return (
-            threshold is not None
-            and self.node_id != self.master_id
-            and not self.draining
-            and not self.shutdown
-            and waited_ns >= threshold
-            and self.sim.now - self._last_rebalance_ns >= threshold
-        )
-
-    def _rebalance_victim(self, current: GuestThread) -> GuestThread:
-        """The hottest runnable thread on this node: shedding the biggest
-        compute consumer moves the most queue pressure per evacuation."""
-        candidates = [current] + [
-            t for t in self.runqueue.peek_all()
-            if t is not None and t.state is GuestThreadState.READY
-            and not t.evac_requested
-        ]
-        return max(candidates, key=lambda t: (t.stats.execute_ns, -t.tid))
 
     def _run_turn(self, th: GuestThread):
         cfg = self.config

@@ -10,10 +10,11 @@ Two policies:
   back to round-robin.
 
 Worker threads go to slave nodes; the master runs the main thread (Fig. 2),
-unless ``schedule_on_master`` or there are no slaves.
+and the workers too when there are no slaves.
 
-With ``DQEMUConfig.health_aware_placement`` the placer also consults the
-cluster health view (:class:`repro.net.health.ClusterHealthView`): ``down``,
+Whenever the fleet keeps a health view (``DQEMUConfig.evacuation_enabled``
+or a scheduled drain) the placer consults it
+(:class:`repro.net.health.ClusterHealthView`): ``down``,
 failed and draining candidates are skipped outright and ``suspect`` ones are
 deprioritized (used only when every candidate is degraded).  The choice is
 deterministic — the pool is filtered, never shuffled, and the same
@@ -170,9 +171,6 @@ class FairRunQueue:
         else:
             self._getters.append(ev)
         return ev
-
-    def peek_all(self) -> list[Any]:
-        return list(self._items)
 
     def _pick(self) -> Any:
         items = self._items

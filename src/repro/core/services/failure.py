@@ -148,11 +148,6 @@ class FailureDomainService:
         """Re-home every thread the dead node was running or parking."""
         t0 = self.sim.now
         stats = self.run_stats.service(self.name)
-        if self.checkpoints is not None:
-            # Peer mode parks register snapshots on a buddy node; pull the
-            # dead node's before deciding any thread's fate (a dead buddy
-            # means those snapshots are gone and the threads stay lost).
-            yield from self.checkpoints.collect_for(node)
         for trec in list(self.state.threads.on_node(node)):
             tid = trec.tid
             waiter = self.state.futexes.find(tid)
@@ -224,8 +219,9 @@ class FailureDomainService:
         rec.recovered_ns = self.sim.now
         stats.busy_ns += self.sim.now - t0
 
-    def _usable_pool(self, exclude: int = -1) -> list[int]:
-        """Candidates a thread may land on, healthy before suspect.
+    def _pick_target(self, exclude: int = -1) -> int:
+        """Round-robin over the candidates a thread may land on, healthy
+        before suspect.
 
         ``view.usable`` already rules out failed/draining/down nodes, but a
         *suspect* node (missed timeout windows, not yet confirmed dead) is
@@ -240,23 +236,12 @@ class FailureDomainService:
             if n == exclude or not self.view.usable(n):
                 continue
             (suspect if self.view.is_suspect(n) else healthy).append(n)
-        return healthy or suspect
-
-    def _pick_target(self, exclude: int = -1) -> int:
-        pool = self._usable_pool(exclude)
+        pool = healthy or suspect
         if not pool:
             return self.node_id  # last resort: everything runs on the master
         target = pool[self._evac_rr % len(pool)]
         self._evac_rr += 1
         return target
-
-    def _pick_rebalance_target(self, exclude: int = -1) -> int:
-        """Least-loaded usable node (thread count): a rebalanced thread must
-        land where the queue pressure is lowest, not at a blind cursor."""
-        pool = self._usable_pool(exclude)
-        if not pool:
-            return self.node_id
-        return min(pool, key=lambda n: (len(self.state.threads.on_node(n)), n))
 
     # -- cooperative drain ------------------------------------------------------
 
@@ -285,21 +270,13 @@ class FailureDomainService:
         yield from getattr(self, "_on_" + msg.kind)(msg)
 
     def _on_evacuate_thread(self, msg):
-        if msg.reason == "rebalance":
-            # Load shedding, not a failure: aim at the coldest node and
-            # leave the failure record alone (nothing failed).
-            target = self._pick_rebalance_target(exclude=msg.src)
-            self.trace.emit(
-                "thread", target, f"rebalanced from n{msg.src}", tid=msg.tid
-            )
-        else:
-            target = self._pick_target(exclude=msg.src)
-            rec = self.failures.nodes.get(msg.src)
-            if rec is not None:
-                rec.evacuated.append((msg.tid, target))
-            self.trace.emit(
-                "thread", target, f"evacuated from n{msg.src}", tid=msg.tid
-            )
+        target = self._pick_target(exclude=msg.src)
+        rec = self.failures.nodes.get(msg.src)
+        if rec is not None:
+            rec.evacuated.append((msg.tid, target))
+        self.trace.emit(
+            "thread", target, f"evacuated from n{msg.src}", tid=msg.tid
+        )
         self.state.threads.move(msg.tid, target)
         self.run_stats.service(self.name).evacuations += 1
         with attribute_timeouts(self.name):

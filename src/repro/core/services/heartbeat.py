@@ -15,10 +15,11 @@ adds the active half:
   plans exercise the detector directly.
 
 * :class:`HeartbeatService` (master side) — each renewal re-arms a
-  per-peer lease (``effective_heartbeat_lease_ns`` of tolerated silence)
-  and feeds the shared :class:`~repro.net.health.HealthTracker` as
-  positive evidence.  A monitor process checks every interval; a peer
-  whose lease has expired accrues one *missed-lease* count per check,
+  per-peer lease (``heartbeat_lease_span_ns()``: four intervals of
+  tolerated silence) and feeds the shared
+  :class:`~repro.net.health.HealthTracker` as positive evidence.  A
+  monitor process checks every interval; a peer whose lease has expired
+  accrues one *missed-lease* count per check,
   escalated through the same ``suspect_after`` / ``down_after``
   thresholds as missed RPC timeout windows — heartbeat and RPC evidence
   merge in one health view instead of forking a second one.  The DOWN
@@ -90,7 +91,7 @@ class HeartbeatService:
         self.spawn_guarded = spawn_guarded
         self.finished = finished
         self.interval_ns = config.heartbeat_interval_ns
-        self.lease_ns = config.effective_heartbeat_lease_ns
+        self.lease_ns = config.heartbeat_lease_span_ns()
         #: Per-peer lease expiry on the simulated clock: the instant after
         #: which silence becomes failure evidence.
         self.deadlines: dict[int, int] = {}

@@ -102,9 +102,6 @@ class ProtocolStats:
     checkpoint_pages_flushed: int = 0  # Modified pages folded into home copies
     checkpoint_stale_pages: int = 0  # flushed pages skipped (ownership moved)
     checkpoint_bytes: int = 0  # wire bytes spent shipping snapshots
-    #: Drain-driven load rebalancing: hottest-thread evacuations triggered by
-    #: a queue-wait stint crossing rebalance_threshold_ns.
-    rebalance_evacuations: int = 0
     #: Active-liveness telemetry (docs/PROTOCOL.md "Failure detection");
     #: all zero unless DQEMUConfig.heartbeat_interval_ns is set.
     heartbeats_sent: int = 0  # lease renewals slaves put on the wire

@@ -102,7 +102,7 @@ class TestMigration:
         cfg = DQEMUConfig(
             rpc_timeout_ns=100_000, rpc_max_retries=6,
             rpc_backoff_base_ns=10_000, rpc_backoff_jitter_ns=2_000,
-            evacuation_enabled=True, health_aware_placement=True,
+            evacuation_enabled=True,
             fault_plan=FaultPlan.drain(2, 0),
         ).time_scaled(100.0)
         r = Cluster(2, cfg).run(prog, **LONG)
